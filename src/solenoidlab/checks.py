@@ -629,7 +629,10 @@ def atomlessness_probe(
     seed: int = 0,
     threads: int = 1,
 ) -> AtomlessnessTable:
-    """Max projected cell mass per (base point, angle, level); rows shrink with level."""
+    """Max projected cell mass per (base point, angle, level); rows shrink with level.
+
+    threads is accepted for compatibility and changes nothing.
+    """
     from .fiber import FiberMeasureSpec, build_fiber_measure, depth_for_resolution
     from .projection import project_measure
 
@@ -681,7 +684,8 @@ def boundary_mass_probe(
     The neighborhood has width delta2 * b^-n on each side of each line;
     it must be at least one cell of the working measure wide, otherwise
     the question outruns the resolution.  Pass mu to probe a prebuilt
-    measure instead of constructing one.
+    measure instead of constructing one.  threads is accepted for
+    compatibility and changes nothing.
     """
     from .fiber import FiberMeasureSpec, build_fiber_measure, depth_for_resolution
 

@@ -20,6 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .entropy import entropy_profile
 from .fiber import FiberMeasureSpec, build_fiber_measure
+from .gridmeasure import _cell_rows, _reduce_rows
 from .params import SystemParams
 from .rng import SplitMix64
 from .words import symbolic_sum_batch
@@ -154,8 +155,7 @@ def box_dimension(
     m = len(pts)
     counts = []
     for l in lv:
-        cells = np.floor(pts * base**l).astype(np.int64)
-        counts.append(len(np.unique(cells, axis=0)))
+        counts.append(len(_reduce_rows(_cell_rows(pts, base, l))[1]))
     fitted = [l for l, c in zip(lv, counts) if c <= m // 2]
     if len(fitted) < 2:
         raise ValueError("all levels saturated; increase the point count")
@@ -188,6 +188,7 @@ def fiber_dimension(
     Fits H(m_x, L_l) against l after trimming the coarsest and finest
     levels and dropping any level whose occupied-cell count exceeds a
     tenth of the sample budget (where the empirical measure goes flat).
+    threads is accepted for compatibility and changes nothing.
     """
     spec = FiberMeasureSpec(
         params, x, depth, resolution, mode=mode, sample_count=sample_count, seed=seed

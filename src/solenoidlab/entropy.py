@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .gridmeasure import GridMeasure, convolve
+from .gridmeasure import GridMeasure, _reduce_rows, _row_order, convolve
 
 __all__ = [
     "entropy",
@@ -67,29 +67,32 @@ def entropy(mu: GridMeasure, n: Optional[int] = None) -> float:
     return float(_plogp(coarse.probabilities(), mu.base).sum())
 
 
+def _run_entropies(
+    rows: np.ndarray, w: np.ndarray, base: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start, total weight and base-b entropy of each run of equal rows."""
+    starts = np.flatnonzero(
+        np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))
+    )
+    run_w = np.add.reduceat(w, starts)
+    rel = w / np.repeat(run_w, np.diff(starts, append=len(w)))
+    return starts, run_w, np.add.reduceat(_plogp(rel, base), starts)
+
+
 def _group_entropies(
     mu: GridMeasure, parent_level: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-parent-cell weight and internal entropy at the stored level.
 
     Returns (parent rows, group weights, group entropies), parents sorted
-    lexicographically.  Group entropy is base-b entropy of the cell
-    masses inside that parent, normalized by the group weight.
+    lexicographically.
     """
     factor = mu.base ** (mu.level - parent_level)
     parent = np.floor_divide(mu.idx, factor)
-    if mu.dim == 1:
-        order = np.lexsort((mu.idx[:, 0], parent[:, 0]))
-    else:
-        order = np.lexsort((mu.idx[:, 1], mu.idx[:, 0], parent[:, 1], parent[:, 0]))
+    # stable, so cells inside one parent keep their sorted order
+    order = _row_order(parent)
     parent = parent[order]
-    w = mu.weights[order]
-    same = np.all(parent[1:] == parent[:-1], axis=1)
-    starts = np.flatnonzero(np.concatenate(([True], ~same)))
-    group_w = np.add.reduceat(w, starts)
-    rel = w / np.repeat(group_w, np.diff(np.concatenate((starts, [len(w)]))))
-    contrib = _plogp(rel, mu.base)
-    group_h = np.add.reduceat(contrib, starts)
+    starts, group_w, group_h = _run_entropies(parent, mu.weights[order], mu.base)
     return parent[starts], group_w, group_h
 
 
@@ -394,12 +397,12 @@ def mix_measures(mu: GridMeasure, nu: GridMeasure, p: int, q: int) -> GridMeasur
         raise ValueError("mixing ratio must be strictly between 0 and 1")
     if (mu.base, mu.dim, mu.level) != (nu.base, nu.dim, nu.level):
         raise ValueError("mixing requires matching base, dimension, and level")
-    from .gridmeasure import GridMeasure as GM, _reduce_rows
-
+    if q * mu.total * nu.total > 2**62:
+        raise ValueError("mixing weight overflow")
     w1 = mu.weights * (p * nu.total)
     w2 = nu.weights * ((q - p) * mu.total)
     idx = np.concatenate((mu.idx, nu.idx))
     w = np.concatenate((w1, w2))
     idx, w = _reduce_rows(idx, w)
     radius = max(mu.box_radius, nu.box_radius)
-    return GM(mu.base, mu.dim, mu.level, idx, w, radius)
+    return GridMeasure(mu.base, mu.dim, mu.level, idx, w, radius)

@@ -9,25 +9,24 @@ fiction and the build refuses to run.
 
 Exhaustive mode enumerates all b^N words (budget-capped); sampled mode
 draws a stratified word sample from a named counter-mode stream.  Both
-modes process fixed word blocks whose integer count tables merge by
-addition, so the result is identical for every worker count.
+modes bin fixed word blocks in order on the calling thread, and the
+blocks' integer count tables merge by addition.  The threads argument
+is still accepted but changes nothing, so every thread count gives the
+same table.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from .gridmeasure import BOUNDARY_EPS, GridMeasure, _reduce_rows
+from .gridmeasure import GridMeasure, _RowSums, _bin_points
 from .params import SystemParams
 from .rng import SplitMix64
 from .words import (
-    check_word,
     enumerate_words,
     sampled_symbol_block,
     stratum_layout,
@@ -161,55 +160,22 @@ def fiber_value_chunks(
             yield symbolic_sum_batch(p, spec.x, syms)
 
 
-def _bin_block(
-    values: np.ndarray, base: int, level: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Bin complex values; returns reduced (index rows, counts, boundary tally)."""
-    scale = float(base**level)
-    re = values.real * scale
-    im = values.imag * scale
-    idx = np.empty((len(values), 2), dtype=np.int64)
-    np.floor(re, out=re)
-    np.floor(im, out=im)
-    idx[:, 0] = re
-    idx[:, 1] = im
-    # recompute for the boundary tally (floor consumed the scaled values)
-    re2 = values.real * scale
-    im2 = values.imag * scale
-    near = (np.abs(re2 - np.rint(re2)) < BOUNDARY_EPS * scale) | (
-        np.abs(im2 - np.rint(im2)) < BOUNDARY_EPS * scale
-    )
-    rows, counts = _reduce_rows(idx, np.ones(len(values), dtype=np.int64))
-    return rows, counts, int(np.count_nonzero(near))
-
-
 def build_fiber_measure(spec: FiberMeasureSpec, threads: int = 1) -> GridMeasure:
     """Materialize the fiber measure at spec.resolution.
 
     Integer counts per cell; total equals the word count of the spec.
+    threads is accepted for compatibility and changes nothing: blocks are
+    binned in order on the calling thread.
     """
     spec.validate()
     p = spec.params
-    parts = []
-    if threads > 1:
-        # bounded in-flight window keeps memory flat; parts stay in block order
-        pending: deque = deque()
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for values in fiber_value_chunks(spec):
-                pending.append(
-                    pool.submit(_bin_block, values, p.b, spec.resolution)
-                )
-                while len(pending) > threads + 1:
-                    parts.append(pending.popleft().result())
-            while pending:
-                parts.append(pending.popleft().result())
-    else:
-        for values in fiber_value_chunks(spec):
-            parts.append(_bin_block(values, p.b, spec.resolution))
-    idx = np.concatenate([pt[0] for pt in parts])
-    cnt = np.concatenate([pt[1] for pt in parts])
-    flagged = sum(pt[2] for pt in parts)
-    idx, cnt = _reduce_rows(idx, cnt)
+    sums = _RowSums()
+    flagged = 0
+    for values in fiber_value_chunks(spec):
+        rows, near = _bin_points(values, p.b, spec.resolution)
+        sums.add(rows)
+        flagged += near
+    idx, cnt = sums.table()
     return GridMeasure(
         p.b, 2, spec.resolution, idx, cnt, p.box_radius(), flagged
     )
@@ -249,26 +215,15 @@ def refine_fiber_measure(
             f"target level {level} finer than child level {child_level}"
         )
     gk = params.gamma**n_words
-    scale = float(params.b**level)
-    all_idx = []
-    all_w = []
+    sums = _RowSums()
     flagged = 0
     for w in want:
         shift = symbolic_sum(params, x, w)
         child = children[w]
         centers = child.centers()
         pts = gk * (centers[:, 0] + 1j * centers[:, 1]) + shift
-        re = pts.real * scale
-        im = pts.imag * scale
-        rows = np.empty((len(pts), 2), dtype=np.int64)
-        rows[:, 0] = np.floor(re)
-        rows[:, 1] = np.floor(im)
-        near = (np.abs(re - np.rint(re)) < BOUNDARY_EPS * scale) | (
-            np.abs(im - np.rint(im)) < BOUNDARY_EPS * scale
-        )
-        flagged += int(np.count_nonzero(near))
-        all_idx.append(rows)
-        all_w.append(child.weights.copy())
-        flagged += child.boundary_ambiguous
-    idx, cnt = _reduce_rows(np.concatenate(all_idx), np.concatenate(all_w))
+        rows, near = _bin_points(pts, params.b, level)
+        sums.add(rows, child.weights)
+        flagged += near + child.boundary_ambiguous
+    idx, cnt = sums.table()
     return GridMeasure(params.b, 2, level, idx, cnt, params.box_radius(), flagged)

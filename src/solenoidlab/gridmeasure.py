@@ -11,16 +11,26 @@ exactly on a grid corner, and the half-open convention sends a corner to
 the cell on its right, so the result index is a1 + a2 + 1 per axis with
 no floating arithmetic at all.
 
-Points binned from floating arithmetic closer than 1e-13 to a cell
-boundary are counted in a boundary-ambiguity tally carried on the
-measure; exact operations propagate the tally without adding to it.
+Every binning and merge in the package goes through one cell-key
+primitive.  _cell_rows floors coordinates to cell rows.  _bin_points
+does the same and also counts the points with any coordinate closer
+than 1e-13 to a cell boundary (one count per point, however many of its
+coordinates are close); the tally is carried on the measure, and exact
+operations propagate it without adding to it.  _reduce_rows encodes
+each row as one int64 key, (k1 - min k1) * span2 + (k2 - min k2) over
+the observed ranges, so key order is row-lexicographic order.  It counts
+equal keys with bincount when the key range is small next to the row
+count and sorts otherwise; weights stay exact int64 on both paths.
+Only rows whose key range does not fit in int64 fall back to a lexsort.
+_RowSums applies _reduce_rows to rows that arrive in chunks.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -38,33 +48,171 @@ __all__ = [
 
 BOUNDARY_EPS = 1e-13
 
+# bincount only key ranges up to this many slots, and with at most this
+# many slots per row; larger or sparser ranges sort their keys instead.
+# Sorting wins from about 1 slot per row for unit weights, whose keys
+# sort in place, and from about 20 for weights, which need a stable
+# argsort; 8 keeps the float64 count table small next to the rows.
+_DENSE_CAP = 1 << 23
+_DENSE_SLOTS_PER_UNIT_ROW = 1
+_DENSE_SLOTS_PER_ROW = 8
+# a float64 bincount adds integer weights exactly below this total
+_FLOAT_EXACT = 2.0**52
+_INT64_MAX = np.iinfo(np.int64).max
 
-def _lexsort_rows(idx: np.ndarray) -> np.ndarray:
-    if idx.shape[1] == 1:
-        return np.argsort(idx[:, 0], kind="stable")
-    return np.lexsort((idx[:, 1], idx[:, 0]))
+
+def _scaled_rows(coords: np.ndarray, base: int, level: int) -> np.ndarray:
+    """Points times base**level as float64 rows of shape (m, d).
+
+    coords holds (m, d) rows, (m,) coordinates, or complex (re, im) values.
+    """
+    pts = np.asarray(coords)
+    if np.iscomplexobj(pts):
+        # (re, im) pairs are the complex array's own memory
+        pts = np.ascontiguousarray(pts, dtype=np.complex128).view(np.float64)
+    return pts.reshape(len(coords), -1) * float(base**level)
 
 
-def _reduce_rows(idx: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort rows lexicographically and merge duplicates by exact integer addition."""
-    order = _lexsort_rows(idx)
-    idx = idx[order]
-    w = w[order]
-    if len(idx) == 0:
-        return idx, w
-    same = np.all(idx[1:] == idx[:-1], axis=1)
-    starts = np.flatnonzero(np.concatenate(([True], ~same)))
-    out_idx = idx[starts]
-    sums = np.add.reduceat(w, starts)
-    return out_idx, sums
+def _cell_rows(coords: np.ndarray, base: int, level: int) -> np.ndarray:
+    """Level-n cell rows of points (int64, shape (m, d)), with no boundary tally."""
+    scaled = _scaled_rows(coords, base, level)
+    np.floor(scaled, out=scaled)
+    return scaled.astype(np.int64)
+
+
+def _bin_points(coords: np.ndarray, base: int, level: int) -> tuple[np.ndarray, int]:
+    """_cell_rows, and the number of points within BOUNDARY_EPS of a cell edge."""
+    scaled = _scaled_rows(coords, base, level)
+    tol = BOUNDARY_EPS * float(base**level)
+    dist = np.rint(scaled)
+    dist -= scaled
+    np.abs(dist, out=dist)
+    # column by column: reductions along axis 1 of a narrow array are slow
+    near = dist[:, 0] < tol
+    for j in range(1, dist.shape[1]):
+        near |= dist[:, j] < tol
+    del dist
+    np.floor(scaled, out=scaled)
+    return scaled.astype(np.int64), int(np.count_nonzero(near))
+
+
+def _key_range(rows: np.ndarray) -> tuple[list[int], list[int]]:
+    """Per-column minimum and span (max - min + 1) of non-empty rows."""
+    # column by column: min(axis=0) on a narrow (m, d) array is many times slower
+    lo = [int(col.min()) for col in rows.T]
+    return lo, [int(col.max()) - l + 1 for col, l in zip(rows.T, lo)]
+
+
+def _row_keys(rows: np.ndarray, lo: list[int], spans: list[int]) -> np.ndarray:
+    """One int64 key per row, ordered as the rows are lexicographically.
+
+    The product of spans must fit in int64.
+    """
+    keys = rows[:, 0] - lo[0]
+    for j in range(1, rows.shape[1]):
+        keys *= spans[j]
+        keys += rows[:, j]
+        keys -= lo[j]
+    return keys
+
+
+def _key_rows(keys: np.ndarray, lo: list[int], spans: list[int]) -> np.ndarray:
+    """Inverse of _row_keys."""
+    rows = np.empty((len(keys), len(spans)), dtype=np.int64)
+    rest = keys
+    for j in range(len(spans) - 1, 0, -1):
+        rest, rows[:, j] = np.divmod(rest, spans[j])
+    rows[:, 0] = rest
+    rows += lo
+    return rows
+
+
+def _row_order(rows: np.ndarray) -> np.ndarray:
+    """Stable permutation that sorts non-empty rows lexicographically."""
+    lo, spans = _key_range(rows)
+    if math.prod(spans) > _INT64_MAX:
+        return np.lexsort(rows.T[::-1])
+    return np.argsort(_row_keys(rows, lo, spans), kind="stable")
+
+
+def _box_radius(idx: np.ndarray, base: int, level: int) -> int:
+    """Smallest integer R >= 1 with every level-n cell of idx inside [-R, R]^d."""
+    return max(1, int(np.ceil((np.abs(idx).max() + 1) / base**level)))
+
+
+def _reduce_rows(
+    rows: np.ndarray, w: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows in lexicographic order and their exact int64 weight sums.
+
+    w=None weights every row 1.  Weights must be positive.  Temporaries
+    are dropped as soon as they are used, because callers reduce tables
+    of millions of rows.
+    """
+    if len(rows) == 0:
+        return rows, np.zeros(0, dtype=np.int64)
+    lo, spans = _key_range(rows)
+    size = math.prod(spans)
+    if size > _INT64_MAX:
+        order = _row_order(rows)
+        rows = rows[order]
+        w = np.ones(len(rows), dtype=np.int64) if w is None else w[order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))
+        )
+        return rows[starts], np.add.reduceat(w, starts)
+    keys = _row_keys(rows, lo, spans)
+    per_row = _DENSE_SLOTS_PER_UNIT_ROW if w is None else _DENSE_SLOTS_PER_ROW
+    if size <= min(_DENSE_CAP, per_row * len(keys)) and (
+        w is None or w.sum(dtype=np.float64) < _FLOAT_EXACT
+    ):
+        counts = np.bincount(keys, weights=w, minlength=size)
+        del keys
+        occupied = np.flatnonzero(counts)
+        sums = counts[occupied].astype(np.int64)
+        del counts
+        return _key_rows(occupied, lo, spans), sums
+    if w is None:
+        keys.sort()
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        w = w[order]
+        del order
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sums = np.diff(starts, append=len(keys)) if w is None else np.add.reduceat(w, starts)
+    keys = keys[starts]
+    del starts, w
+    return _key_rows(keys, lo, spans), sums
+
+
+class _RowSums:
+    """_reduce_rows over rows that arrive in chunks.
+
+    Each chunk is reduced when added; the parts are merged once, by table().
+    """
+
+    def __init__(self):
+        self._parts: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def add(self, rows: np.ndarray, w: Optional[np.ndarray] = None) -> None:
+        self._parts.append(_reduce_rows(rows, w))
+
+    def table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct rows of all chunks so far, sorted, with their weight sums."""
+        if len(self._parts) > 1:
+            rows, w = zip(*self._parts)
+            self._parts = [_reduce_rows(np.concatenate(rows), np.concatenate(w))]
+        return self._parts[0]
 
 
 @dataclass
 class GridMeasure:
     """dim-d measure with integer weights on level-n b-adic cells.
 
-    idx has shape (m, dim) and is sorted lexicographically; weights are
-    positive int64.  box_radius R certifies all cells lie in [-R, R]^dim.
+    idx has shape (m, dim) and its rows strictly increase in lexicographic
+    order (sorted, no repeats); weights are positive int64.  box_radius R
+    certifies all cells lie in [-R, R]^dim.
     """
 
     base: int
@@ -88,6 +236,13 @@ class GridMeasure:
             raise ValueError("index/weight shape mismatch")
         if np.any(self.weights <= 0):
             raise ValueError("weights must be positive integers")
+        first = self.idx[1:, 0] > self.idx[:-1, 0]
+        if self.dim == 2:
+            first |= (self.idx[1:, 0] == self.idx[:-1, 0]) & (
+                self.idx[1:, 1] > self.idx[:-1, 1]
+            )
+        if not first.all():
+            raise ValueError("cells must be sorted lexicographically without repeats")
         edge = self.box_radius * self.base**self.level
         if np.any(self.idx < -edge) or np.any(self.idx > edge - 1):
             raise ValueError("cell outside origin box")
@@ -131,7 +286,7 @@ class GridMeasure:
             return self
         factor = self.base ** (self.level - n)
         coarse = np.floor_divide(self.idx, factor)
-        idx, w = _reduce_rows(coarse, self.weights.copy())
+        idx, w = _reduce_rows(coarse, self.weights)
         return GridMeasure(
             self.base, self.dim, n, idx, w, self.box_radius, self.boundary_ambiguous
         )
@@ -147,19 +302,14 @@ class GridMeasure:
         shift = np.asarray(shift, dtype=np.int64).reshape(1, self.dim)
         new_idx = self.idx + shift
         new_level = self.level - power
-        radius = int(
-            np.ceil(
-                (np.abs(new_idx).max() + 1) / self.base**new_level
-            )
-        )
-        idx, w = _reduce_rows(new_idx, self.weights.copy())
+        idx, w = _reduce_rows(new_idx, self.weights)
         return GridMeasure(
             self.base,
             self.dim,
             new_level,
             idx,
             w,
-            max(1, radius),
+            _box_radius(idx, self.base, new_level),
             self.boundary_ambiguous,
         )
 
@@ -175,14 +325,6 @@ class GridMeasure:
         )
 
 
-def _bin_coords(coords: np.ndarray, base: int, level: int) -> tuple[np.ndarray, int]:
-    """Cell indices of coordinate array at the given level, plus boundary tally."""
-    scaled = coords * float(base**level)
-    idx = np.floor(scaled).astype(np.int64)
-    near = np.abs(scaled - np.rint(scaled)) < BOUNDARY_EPS * base**level
-    return idx, int(np.count_nonzero(near))
-
-
 def measure_from_points(
     points: np.ndarray,
     base: int,
@@ -195,22 +337,15 @@ def measure_from_points(
     points: 1D real array, 2D real array of shape (m, 2), or complex array
     (treated as the plane with coordinates (re, im)).
     """
-    pts = np.asarray(points)
-    if np.iscomplexobj(pts):
-        pts = np.column_stack((pts.real, pts.imag))
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    if len(pts) == 0:
+    if len(points) == 0:
         raise ValueError("empty measure: no points to bin")
-    dim = pts.shape[1]
-    if weights is None:
-        w = np.ones(len(pts), dtype=np.int64)
-    else:
-        w = np.asarray(weights, dtype=np.int64)
-    idx, flagged = _bin_coords(pts, base, level)
-    idx, w = _reduce_rows(idx, w)
+    idx, flagged = _bin_points(points, base, level)
+    dim = idx.shape[1]
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.int64)
+    idx, w = _reduce_rows(idx, weights)
     if box_radius is None:
-        box_radius = max(1, int(np.ceil((np.abs(idx).max() + 1) / base**level)))
+        box_radius = _box_radius(idx, base, level)
     return GridMeasure(base, dim, level, idx, w, box_radius, flagged)
 
 
@@ -227,7 +362,7 @@ def measure_from_cells(
     w = np.array([int(v) for v in cells.values()], dtype=np.int64)
     idx, w = _reduce_rows(idx, w)
     if box_radius is None:
-        box_radius = max(1, int(np.ceil((np.abs(idx).max() + 1) / base**level)))
+        box_radius = _box_radius(idx, base, level)
     return GridMeasure(base, dim, level, idx, w, box_radius)
 
 
@@ -274,14 +409,7 @@ def load_measure(text: str, base: int) -> GridMeasure:
         weights.append(int(parts[dim]))
     idx = np.array(rows, dtype=np.int64).reshape(len(rows), dim)
     w = np.array(weights, dtype=np.int64)
-    mu = GridMeasure(
-        base,
-        dim,
-        level,
-        idx,
-        w,
-        max(1, int(np.ceil((np.abs(idx).max() + 1) / base**level))),
-    )
+    mu = GridMeasure(base, dim, level, idx, w, _box_radius(idx, base, level))
     if mu.total != total:
         raise ValueError(f"dump total {total} does not match cell sum {mu.total}")
     return mu
@@ -301,26 +429,19 @@ def convolve(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
     if mu.total * nu.total > 2**62:
         raise ValueError("convolution weight overflow")
     chunk = max(1, 4_000_000 // max(1, nu.ncells))
-    pieces_idx = []
-    pieces_w = []
+    sums = _RowSums()
     for lo in range(0, mu.ncells, chunk):
-        hi = min(mu.ncells, lo + chunk)
-        block_idx = (
-            mu.idx[lo:hi, None, :] + nu.idx[None, :, :] + 1
-        ).reshape(-1, mu.dim)
-        block_w = (mu.weights[lo:hi, None] * nu.weights[None, :]).reshape(-1)
-        bi, bw = _reduce_rows(block_idx, block_w)
-        pieces_idx.append(bi)
-        pieces_w.append(bw)
-    idx, w = _reduce_rows(np.concatenate(pieces_idx), np.concatenate(pieces_w))
-    radius = max(1, int(np.ceil((np.abs(idx).max() + 1) / mu.base**mu.level)))
+        block_idx = mu.idx[lo : lo + chunk, None, :] + nu.idx[None, :, :] + 1
+        block_w = mu.weights[lo : lo + chunk, None] * nu.weights[None, :]
+        sums.add(block_idx.reshape(-1, mu.dim), block_w.reshape(-1))
+    idx, w = sums.table()
     return GridMeasure(
         mu.base,
         mu.dim,
         mu.level,
         idx,
         w,
-        radius,
+        _box_radius(idx, mu.base, mu.level),
         mu.boundary_ambiguous + nu.boundary_ambiguous,
     )
 

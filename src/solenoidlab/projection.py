@@ -10,20 +10,26 @@ The conservation estimator compares a planar entropy rate against the
 projected rate plus the strip-conditional rate.  It streams the raw
 branch sums instead of going through a binned planar table, because the
 planar table at deep levels can be enormous while the three statistics
-only need sorted-key passes.
+only need sorted-key passes.  The planar rate sorts one int64 key per
+word in place; the projected and strip tables are reduced chunk by
+chunk through the grid module's row reduce, which picks bincount or
+sort from the sizes it sees, so there is no separate dense or sparse
+mode here.  The estimator keeps no boundary tally.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .entropy import entropy
+from .entropy import _run_entropies, entropy
 from .fiber import FiberMeasureSpec, build_fiber_measure, fiber_value_chunks
-from .gridmeasure import BOUNDARY_EPS, GridMeasure, _reduce_rows
+from .gridmeasure import (
+    GridMeasure, _cell_rows, _row_keys, _RowSums, measure_from_points
+)
 from .params import SystemParams
 
 __all__ = [
@@ -45,6 +51,19 @@ def project_point(z, theta: float):
     return np.real(np.asarray(z) * phase) if np.ndim(z) else float((z * phase).real)
 
 
+def _line_coordinate(points: np.ndarray, theta: float) -> np.ndarray:
+    """pi_theta of planar points given as (m, 2) rows, in real arithmetic."""
+    angle = 2 * math.pi * theta
+    return points[:, 0] * math.cos(angle) + points[:, 1] * math.sin(angle)
+
+
+def _line_measure(mu: GridMeasure, coords: np.ndarray, weights: np.ndarray) -> GridMeasure:
+    """1D measure at mu's level from line coordinates of mu's cells."""
+    line = measure_from_points(coords, mu.base, mu.level, weights=weights)
+    line.boundary_ambiguous += mu.boundary_ambiguous
+    return line
+
+
 def project_measure(mu: GridMeasure, theta: float) -> GridMeasure:
     """1D image of a planar measure under pi_theta, binned at the same level.
 
@@ -53,19 +72,7 @@ def project_measure(mu: GridMeasure, theta: float) -> GridMeasure:
     """
     if mu.dim != 2:
         raise ValueError("projection needs a planar measure")
-    centers = mu.centers()
-    t = centers[:, 0] * math.cos(2 * math.pi * theta) + centers[:, 1] * math.sin(
-        2 * math.pi * theta
-    )
-    scale = float(mu.base**mu.level)
-    scaled = t * scale
-    idx = np.floor(scaled).astype(np.int64).reshape(-1, 1)
-    near = int(np.count_nonzero(np.abs(scaled - np.rint(scaled)) < BOUNDARY_EPS * scale))
-    idx, w = _reduce_rows(idx, mu.weights.copy())
-    radius = max(1, int(np.ceil((np.abs(idx).max() + 1) / scale)))
-    return GridMeasure(
-        mu.base, 1, mu.level, idx, w, radius, mu.boundary_ambiguous + near
-    )
+    return _line_measure(mu, _line_coordinate(mu.centers(), theta), mu.weights)
 
 
 @dataclass
@@ -107,6 +114,7 @@ def projection_entropy_sweep(
 
     Each fiber measure is built once per base point and projected at
     every angle; the projected-dimension estimate is the grid minimum.
+    threads is accepted for compatibility and changes nothing.
     """
     xs = [float(x) for x in x_grid]
     thetas = [float(t) for t in theta_grid]
@@ -136,23 +144,12 @@ def fiber_conditional_measure(
         raise ValueError("strip conditional needs a planar measure")
     width = mu.base ** (-q)
     centers = mu.centers()
-    t = centers[:, 0] * math.cos(2 * math.pi * theta) + centers[:, 1] * math.sin(
-        2 * math.pi * theta
-    )
+    t = _line_coordinate(centers, theta)
     inside = (t >= c - width / 2) & (t < c + width / 2)
     if not inside.any():
         raise ValueError(f"empty strip at c={c}")
-    perp = 2 * math.pi * (theta + 0.25)
-    u = centers[inside, 0] * math.cos(perp) + centers[inside, 1] * math.sin(perp)
-    scale = float(mu.base**mu.level)
-    scaled = u * scale
-    idx = np.floor(scaled).astype(np.int64).reshape(-1, 1)
-    near = int(np.count_nonzero(np.abs(scaled - np.rint(scaled)) < BOUNDARY_EPS * scale))
-    idx, w = _reduce_rows(idx, mu.weights[inside].copy())
-    radius = max(1, int(np.ceil((np.abs(idx).max() + 1) / scale)))
-    return GridMeasure(
-        mu.base, 1, mu.level, idx, w, radius, mu.boundary_ambiguous + near
-    )
+    u = _line_coordinate(centers[inside], theta + 0.25)
+    return _line_measure(mu, u, mu.weights[inside])
 
 
 def strip_decomposition(
@@ -166,10 +163,7 @@ def strip_decomposition(
     if mu.dim != 2:
         raise ValueError("strip decomposition needs a planar measure")
     width = mu.base ** (-q)
-    centers = mu.centers()
-    t = centers[:, 0] * math.cos(2 * math.pi * theta) + centers[:, 1] * math.sin(
-        2 * math.pi * theta
-    )
+    t = _line_coordinate(mu.centers(), theta)
     strips = np.floor(t / width).astype(np.int64)
     out = []
     for j in np.unique(strips):
@@ -206,45 +200,6 @@ class ConservationEstimate:
     def corollary_consistent(self) -> bool:
         """False only if the rate table contradicts 'alpha >= beta + 1 forces alpha >= 2'."""
         return not (self.alpha >= self.beta + 1.0 + 0.1 and self.alpha < 2.0 - 0.1)
-
-
-# largest dense count-table the streamed estimator will allocate per key
-# space; larger certified ranges fall back to the sparse accumulator
-_DENSE_CAP = 1 << 23
-
-
-class _KeyAccumulator:
-    """Weighted integer-key table built chunk by chunk.
-
-    Parts are merged whenever the pending row count crosses the flush
-    threshold, so memory tracks the number of distinct keys rather than
-    the number of chunks.
-    """
-
-    def __init__(self, flush_rows: int = 1 << 23):
-        self._idx: list[np.ndarray] = []
-        self._w: list[np.ndarray] = []
-        self._rows = 0
-        self._flush = flush_rows
-
-    def add(self, idx: np.ndarray, w: np.ndarray) -> None:
-        self._idx.append(idx)
-        self._w.append(w)
-        self._rows += len(w)
-        if self._rows > self._flush:
-            self._merge()
-
-    def _merge(self) -> None:
-        idx, w = _reduce_rows(np.concatenate(self._idx), np.concatenate(self._w))
-        self._idx = [idx]
-        self._w = [w]
-        self._rows = len(w)
-
-    def result(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self._w:
-            raise ValueError("empty accumulator")
-        self._merge()
-        return self._idx[0], self._w[0]
 
 
 def _sorted_key_entropy(keys: np.ndarray, base: int, chunk: int = 1 << 24) -> float:
@@ -312,99 +267,51 @@ def conservation_estimates(
     )
     spec.validate()
     b = params.b
-    R = params.box_radius()
-    edge = R * b**n
+    edge = params.box_radius() * b**n
     span = 2 * edge
     if span * span > 2**62:
         raise ValueError("level too deep for planar key encoding")
 
     total = spec.total_words
     planar_keys = np.empty(total, dtype=np.int64)
-    cos_t = math.cos(2 * math.pi * theta)
-    sin_t = math.sin(2 * math.pi * theta)
-    perp = 2 * math.pi * (theta + 0.25)
-    cos_p = math.cos(perp)
-    sin_p = math.sin(perp)
-
-    line_edge = int(math.ceil(math.sqrt(2) * R))
-    beta_edge = line_edge * b**n
-    cond_level = {q: n - q for q in qs}
-    cond_edge = {q: line_edge * b ** cond_level[q] for q in qs}
-    cond_span = {q: 2 * cond_edge[q] for q in qs}
-    strip_edge = {q: line_edge * b**q for q in qs}
-    grid_size = {q: 2 * strip_edge[q] * cond_span[q] for q in qs}
-    # bincount into dense tables when the certified key range is small:
-    # counts stay exact int64 and the keys come out sorted for free
-    dense = 2 * beta_edge <= _DENSE_CAP and all(
-        grid_size[q] <= _DENSE_CAP for q in qs
-    )
-    if dense:
-        beta_counts = np.zeros(2 * beta_edge, dtype=np.int64)
-        strip_counts = {q: np.zeros(grid_size[q], dtype=np.int64) for q in qs}
-    else:
-        beta_acc = _KeyAccumulator()
-        strip_acc = {q: _KeyAccumulator() for q in qs}
-
+    # projected and strip cell counts, reduced chunk by chunk so memory
+    # follows occupied cells, not words
+    beta_sums = _RowSums()
+    strip_sums = {q: _RowSums() for q in qs}
     pos = 0
     for values in fiber_value_chunks(spec, block_words=1 << 21):
         m = len(values)
-        i1 = np.floor(values.real * (b**n)).astype(np.int64)
-        i2 = np.floor(values.imag * (b**n)).astype(np.int64)
-        planar_keys[pos : pos + m] = (i1 + edge) * span + (i2 + edge)
+        cells = _cell_rows(values, b, n)
+        planar_keys[pos : pos + m] = _row_keys(cells, [-edge, -edge], [span, span])
         pos += m
-        t = values.real * cos_t + values.imag * sin_t
-        tbin = np.floor(t * (b**n)).astype(np.int64)
-        u = values.real * cos_p + values.imag * sin_p
-        if dense:
-            beta_counts += np.bincount(tbin + beta_edge, minlength=2 * beta_edge)
-        else:
-            beta_acc.add(
-                *_reduce_rows(tbin.reshape(-1, 1), np.ones(m, dtype=np.int64))
-            )
+        del cells
+        planar = values.view(np.float64).reshape(m, 2)
+        t = _line_coordinate(planar, theta)
+        u = _line_coordinate(planar, theta + 0.25)
+        beta_sums.add(_cell_rows(t, b, n))
         for q in qs:
-            strip = np.floor(t * (b**q)).astype(np.int64)
-            ubin = np.floor(u * (b ** cond_level[q])).astype(np.int64)
-            skey = (strip + strip_edge[q]) * cond_span[q] + (ubin + cond_edge[q])
-            if dense:
-                strip_counts[q] += np.bincount(skey, minlength=grid_size[q])
-            else:
-                strip_acc[q].add(
-                    *_reduce_rows(skey.reshape(-1, 1), np.ones(m, dtype=np.int64))
-                )
+            strip = _cell_rows(t, b, q)
+            along = _cell_rows(u, b, n - q)
+            strip_sums[q].add(np.hstack((strip, along)))
     if pos != total:
         raise RuntimeError("stream length mismatch")
+    beta_w = beta_sums.table()[1]
+    strip_tables = {q: sums.table() for q, sums in strip_sums.items()}
+    del beta_sums, strip_sums
 
     alpha = _sorted_key_entropy(planar_keys, b) / n
     del planar_keys
 
-    if dense:
-        bw = beta_counts[beta_counts > 0]
-    else:
-        _, bw = beta_acc.result()
-    p = bw / total
+    p = beta_w / total
     beta = float(np.sum(-p * np.log(p)) / math.log(b)) / n
 
     out = {}
     for q in qs:
-        if dense:
-            skeys = np.flatnonzero(strip_counts[q])
-            sw = strip_counts[q][skeys]
-        else:
-            sidx, sw = strip_acc[q].result()
-            skeys = sidx[:, 0]
-        strips = np.floor_divide(skeys, cond_span[q]) - strip_edge[q]
-        boundaries = np.flatnonzero(
-            np.concatenate(([True], strips[1:] != strips[:-1]))
-        )
-        strip_w = np.add.reduceat(sw, boundaries)
-        rel = sw / np.repeat(
-            strip_w, np.diff(np.concatenate((boundaries, [len(sw)])))
-        )
-        contrib = -rel * np.log(rel) / math.log(b)
-        strip_h = np.add.reduceat(contrib, boundaries)
+        rows, sw = strip_tables[q]
+        starts, strip_w, strip_h = _run_entropies(rows[:, :1], sw, b)
         table = [
-            (int(strips[i]), int(wt) / total, float(h) / cond_level[q])
-            for i, wt, h in zip(boundaries, strip_w, strip_h)
+            (int(rows[i, 0]), int(wt) / total, float(h) / (n - q))
+            for i, wt, h in zip(starts, strip_w, strip_h)
         ]
         upsilon = sum(mass * rate for (_, mass, rate) in table)
         out[q] = ConservationEstimate(x, theta, n, q, alpha, beta, upsilon, table)

@@ -105,7 +105,8 @@ def projection_entropy_observable(
     f(theta) averages, over all words w at the converted level, the
     normalized entropy of the angle-theta projection of the fiber
     measure based at the branch point w(0).  The fiber measures are
-    built once and captured in the closure.
+    built once and captured in the closure.  threads is accepted for
+    compatibility and changes nothing.
     """
     lt = scale_tilde(params, ell)
     if lt < 1:
@@ -164,6 +165,7 @@ def birkhoff_average(
     an ell-block average, so the matching shift advances ell steps at a
     time).  The integral is a midpoint rule on quad_points angles; each
     report row carries the running average and its gap to the integral.
+    threads is accepted for compatibility and changes nothing.
     """
     if k_max < 1:
         raise ValueError("need k_max >= 1")

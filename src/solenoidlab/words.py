@@ -171,6 +171,11 @@ def symbolic_sum_derivative(params: SystemParams, x: float, word: Sequence[int])
 # === vectorized word enumeration ===
 
 
+def _digit_dtype(b: int) -> type:
+    """Symbol-matrix dtype for base b: int8 while the digits 0..b-1 fit, else int64."""
+    return np.int8 if b <= 128 else np.int64
+
+
 def symbol_block(b: int, depth: int, start: int, stop: int) -> np.ndarray:
     """Symbol matrix of words start..stop-1 (lexicographic), shape (stop-start, depth).
 
@@ -180,7 +185,7 @@ def symbol_block(b: int, depth: int, start: int, stop: int) -> np.ndarray:
     dtype = np.int32 if stop <= 2**31 else np.int64
     idx = np.arange(start, stop, dtype=dtype)
     rem = np.empty(stop - start, dtype=dtype)
-    out = np.empty((stop - start, depth), dtype=np.int8)
+    out = np.empty((stop - start, depth), dtype=_digit_dtype(b))
     for pos in range(depth - 1, -1, -1):
         np.divmod(idx, dtype(b), out=(idx, rem))
         out[:, pos] = rem
@@ -223,14 +228,14 @@ def sampled_symbol_block(
         raise ValueError("stratum range out of bounds")
     n_str = stratum_stop - stratum_start
     if n_str == 0:
-        return np.empty((0, depth), dtype=np.int8)
+        return np.empty((0, depth), dtype=_digit_dtype(b))
 
     quotas = np.full(n_str, base_quota, dtype=np.int64)
     ids = np.arange(stratum_start, stratum_stop, dtype=np.int64)
     quotas[ids < rem] += 1
     total = int(quotas.sum())
 
-    out = np.empty((total, depth), dtype=np.int8)
+    out = np.empty((total, depth), dtype=_digit_dtype(b))
     # prefix digits repeat per quota
     prefix = symbol_block(b, s, stratum_start, stratum_stop) if s else None
     row_stratum = np.repeat(np.arange(n_str, dtype=np.int64), quotas)
@@ -255,7 +260,7 @@ def sampled_symbol_block(
                 z = expanded_states + (
                     (base_counter + np.uint64(k + 1)) * np.uint64(GAMMA64)
                 )
-            out[:, s + k] = (mix64_array(z) % np.uint64(b)).astype(np.int8)
+            out[:, s + k] = mix64_array(z) % np.uint64(b)
     return out
 
 

@@ -120,6 +120,15 @@ def test_concavity_sandwich():
             assert mid <= lhs + binary_entropy(t, 2) + 1e-9
 
 
+def test_mix_measures_rejects_weight_overflow():
+    mu = measure_from_cells(2, 1, 2, {0: 9})
+    nu = measure_from_cells(2, 1, 2, {1: 2**61})
+    with pytest.raises(ValueError, match="overflow"):
+        mix_measures(mu, nu, 1, 2)
+    small = mix_measures(mu, measure_from_cells(2, 1, 2, {1: 4}), 1, 2)
+    assert small.cells() == {0: 9 * 4, 1: 4 * 9}
+
+
 def test_conditional_concavity_left_inequality():
     for seed in range(8):
         mu = random_measure(seed, base=2, level=4, cells=25)

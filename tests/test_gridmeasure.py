@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solenoidlab import gridmeasure
 from solenoidlab.gridmeasure import (
     BOUNDARY_EPS,
     GridMeasure,
+    _bin_points,
+    _cell_rows,
+    _reduce_rows,
+    _RowSums,
     component_measure,
     convolve,
     dump_measure,
@@ -74,6 +79,14 @@ def test_boundary_tally():
     assert mu2.boundary_ambiguous == 1
 
 
+def test_boundary_tally_counts_points_not_coordinates():
+    # both coordinates of this one point sit just above a level-3 edge
+    z = (0.5 + 1e-15) + (0.25 + 1e-15) * 1j
+    assert measure_from_points(np.array([z]), 2, 3).boundary_ambiguous == 1
+    pair = np.array([[0.5 + 1e-15, 0.25 + 1e-15], [0.3, 0.5]])
+    assert measure_from_points(pair, 2, 3).boundary_ambiguous == 2
+
+
 def dict_coarsen(mu, n):
     factor = mu.base ** (mu.level - n)
     out = {}
@@ -134,6 +147,122 @@ def test_dump_header_fields():
     mu = random_measure(17, base=2, dim=1, level=4, cells=6)
     head = dump_measure(mu).splitlines()[0]
     assert head == f"GRIDMEASURE v1 dim=1 level=4 total={mu.total}"
+
+
+def test_load_rejects_unsorted_or_repeated_cells():
+    text = "GRIDMEASURE v1 dim=1 level=2 total=3\n3 1\n1 1\n1 1\n"
+    with pytest.raises(ValueError, match="sorted"):
+        load_measure(text, 2)
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["shuffle", "repeat"]))
+@settings(max_examples=40, deadline=None)
+def test_cell_table_order_is_enforced(seed, fault):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 3))
+    mu = random_measure(seed, base=3, dim=dim, level=2, cells=int(rng.integers(2, 20)))
+    text = dump_measure(mu)
+    assert load_measure(text, 3).equals(mu)
+    if mu.ncells < 2:
+        return
+    idx = mu.idx.copy()
+    if fault == "shuffle":
+        while np.array_equal(idx, mu.idx):
+            idx = idx[rng.permutation(len(idx))]
+    else:
+        k = int(rng.integers(0, len(idx) - 1))
+        idx[k + 1] = idx[k]
+    with pytest.raises(ValueError, match="sorted"):
+        GridMeasure(3, dim, 2, idx, mu.weights.copy(), mu.box_radius)
+    lines = text.splitlines()
+    body = [" ".join(str(int(v)) for v in row) + f" {w}" for row, w in zip(idx, mu.weights)]
+    with pytest.raises(ValueError, match="sorted"):
+        load_measure("\n".join([lines[0], *body]) + "\n", 3)
+
+
+def reference_reduce(rows, w):
+    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
+    sums = np.zeros(len(uniq), dtype=np.int64)
+    np.add.at(sums, inverse.reshape(-1), w)
+    return uniq, sums
+
+
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 3),
+    st.integers(1, 400),
+    st.sampled_from([3, 40, 10**6, 2**40]),
+    st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_reduce_rows_matches_unique_reference(seed, ncols, nrows, spread, unit):
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-spread, spread, size=(nrows, ncols))
+    w = None if unit else rng.integers(1, 2**40, size=nrows)
+    got_rows, got_w = _reduce_rows(rows, w)
+    want_rows, want_w = reference_reduce(rows, np.ones(nrows, np.int64) if unit else w)
+    assert got_w.dtype == np.int64 and got_rows.dtype == np.int64
+    assert np.array_equal(got_rows, want_rows)
+    assert np.array_equal(got_w, want_w)
+
+
+@pytest.mark.parametrize("path", ["dense", "sort"])
+def test_reduce_rows_both_count_paths(monkeypatch, path):
+    if path == "dense":
+        monkeypatch.setattr(gridmeasure, "_DENSE_SLOTS_PER_UNIT_ROW", 1 << 30)
+        monkeypatch.setattr(gridmeasure, "_DENSE_SLOTS_PER_ROW", 1 << 30)
+    else:
+        monkeypatch.setattr(gridmeasure, "_DENSE_CAP", 0)
+    rng = np.random.default_rng(5)
+    for ncols in (1, 2, 3):
+        rows = rng.integers(-7, 9, size=(300, ncols))
+        w = rng.integers(1, 1000, size=300)
+        for weights in (None, w):
+            got = _reduce_rows(rows, weights)
+            want = reference_reduce(rows, np.ones(300, np.int64) if weights is None else weights)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_reduce_rows_large_weights_stay_exact(monkeypatch):
+    # a float64 bincount would round these sums, so the reduce must sort
+    monkeypatch.setattr(gridmeasure, "_DENSE_SLOTS_PER_ROW", 1 << 30)
+    rows = np.array([[0], [1], [0], [1]], dtype=np.int64)
+    w = np.array([2**60 + 1, 3, 2**60 + 1, 5], dtype=np.int64)
+    got_rows, got_w = _reduce_rows(rows, w)
+    assert got_rows.tolist() == [[0], [1]]
+    assert got_w.tolist() == [2**61 + 2, 8]
+
+
+def test_reduce_rows_key_range_beyond_int64():
+    big = 2**62
+    rows = np.array([[big, -big], [-big, big], [big, -big], [0, 0]], dtype=np.int64)
+    got_rows, got_w = _reduce_rows(rows, np.array([1, 2, 3, 4], dtype=np.int64))
+    assert got_rows.tolist() == [[-big, big], [0, 0], [big, -big]]
+    assert got_w.tolist() == [2, 4, 4]
+
+
+@given(st.integers(0, 10**6), st.integers(1, 2), st.integers(1, 6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_row_sums_over_chunks_match_one_reduce(seed, ncols, nchunks, unit):
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 200, size=nchunks)
+    chunks = [rng.integers(-9, 9, size=(int(m), ncols)) for m in sizes]
+    weights = [None if unit else rng.integers(1, 2**30, size=m) for m in sizes]
+    sums = _RowSums()
+    for rows, w in zip(chunks, weights):
+        sums.add(rows, w)
+    all_w = None if unit else np.concatenate(weights)
+    want = _reduce_rows(np.concatenate(chunks), all_w)
+    for got in (sums.table(), sums.table()):
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_cell_rows_are_the_binned_rows_without_tally():
+    rng = np.random.default_rng(3)
+    line, cloud = rng.normal(size=50), rng.normal(size=(50, 3))
+    for pts in (line, cloud, cloud[:, 0] + 1j * cloud[:, 1]):
+        rows, _ = _bin_points(pts, 3, 4)
+        assert np.array_equal(_cell_rows(pts, 3, 4), rows)
 
 
 def test_load_skips_comment_lines():

@@ -18,7 +18,7 @@ from solenoidlab.entropy import entropy
 from solenoidlab.fiber import FiberMeasureSpec, build_fiber_measure
 from solenoidlab.gridmeasure import GridMeasure, measure_from_cells
 from solenoidlab.params import SystemParams, TrigPoly
-from solenoidlab import projection
+from solenoidlab import gridmeasure
 from solenoidlab.projection import (
     ConservationEstimate,
     SweepResult,
@@ -314,12 +314,15 @@ def test_multi_q_single_pass_equals_single_q():
 
 
 def test_sparse_fallback_matches_dense_tables(monkeypatch):
-    # both accumulation paths see identical sorted count arrays, so the
-    # rates must agree exactly, not just to tolerance
+    # both count paths of the row reduce (bincount and sort) yield identical
+    # sorted count arrays, so the rates must agree exactly, not just to
+    # tolerance
     params = SystemParams(2, 0.5, math.sqrt(2) - 1, TrigPoly(0.0, (1.0,), ()))
     args = (params, 0.3177, 0.13, 5, [2, 3], 8)
+    monkeypatch.setattr(gridmeasure, "_DENSE_SLOTS_PER_UNIT_ROW", 1 << 30)
+    monkeypatch.setattr(gridmeasure, "_DENSE_SLOTS_PER_ROW", 1 << 30)
     dense = conservation_estimates(*args)
-    monkeypatch.setattr(projection, "_DENSE_CAP", 0)
+    monkeypatch.setattr(gridmeasure, "_DENSE_CAP", 0)
     sparse = conservation_estimates(*args)
     for q in (2, 3):
         assert sparse[q].alpha == dense[q].alpha

@@ -213,6 +213,30 @@ def test_symbolic_sum_batch_per_row_base_points():
         assert v == pytest.approx(symbolic_sum(p, float(x), tuple(int(s) for s in row)), abs=1e-12)
 
 
+@given(
+    b=st.integers(2, 300),
+    depth=st.integers(1, 3),
+    start=st.integers(0, 10**6),
+    x=st.floats(0.0, 0.99),
+)
+@settings(max_examples=60, deadline=None)
+def test_batch_sums_match_scalar_for_wide_bases(b, depth, start, x):
+    # digits above 127 must not wrap in the symbol matrices
+    p = small_system(b, 0.5)
+    start %= b**depth
+    stop = min(b**depth, start + 40)
+    exhaustive = symbol_block(b, depth, start, stop)
+    sampled = sampled_symbol_block(b, depth, 3 * b, SplitMix64(start, "wide"), 0, 1)
+    for block in (exhaustive, sampled):
+        assert block.min() >= 0 and block.max() < b
+        vals = symbolic_sum_batch(p, x, block)
+        for row, v in zip(block, vals):
+            word = tuple(int(s) for s in row)
+            assert v == pytest.approx(symbolic_sum(p, x, word), abs=1e-12)
+    for i, row in zip(range(start, stop), exhaustive):
+        assert tuple(int(s) for s in row) == word_from_index(i, b, depth)
+
+
 def test_random_words_shape_and_determinism():
     s = SplitMix64(42, "words")
     ws = random_words(3, 5, 10, s)
