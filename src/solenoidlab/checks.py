@@ -18,12 +18,16 @@ import numpy as np
 from .params import SystemParams, TrigPoly
 from .rng import SplitMix64
 from .words import (
+    _branch_sums,
+    _index_digits,
     branch_interval,
     check_word,
     scale_hat,
     symbol_block,
     symbolic_sum_batch,
+    word_from_index,
     word_to_str,
+    word_value,
 )
 
 __all__ = [
@@ -91,10 +95,11 @@ def condition_h_probe(
     total_pairs = (nw * nw - b * group * group) // 2
 
     if total_pairs <= pair_budget:
+        # the words label the report; their sums come from the prefix tree
         syms = symbol_block(b, depth, 0, nw).astype(np.int64)
         values = np.empty((nw, len(xs)), dtype=np.complex128)
         for k, x in enumerate(xs):
-            values[:, k] = symbolic_sum_batch(params, x, syms)
+            values[:, k] = _branch_sums(params, x, depth, 0, nw)
         sup = np.zeros((nw, nw))
         for k in range(len(xs)):
             col = values[:, k]
@@ -129,19 +134,9 @@ def condition_h_probe(
     # sampled pairs: independent words, second leading symbol forced distinct
     stream = SplitMix64(seed, "condition-h.pairs")
     count = pair_budget
-    si = (
-        stream.derive("left")
-        .integers(0, count * depth, b)
-        .reshape(count, depth)
-        .astype(np.int64)
-    )
-    sj = (
-        stream.derive("right")
-        .integers(0, count * depth, b)
-        .reshape(count, depth)
-        .astype(np.int64)
-    )
-    shift = 1 + stream.derive("shift").integers(0, count, b - 1).astype(np.int64)
+    si = stream.derive("left").integers(0, count * depth, b).reshape(count, depth)
+    sj = stream.derive("right").integers(0, count * depth, b).reshape(count, depth)
+    shift = 1 + stream.derive("shift").integers(0, count, b - 1)
     sj[:, 0] = (si[:, 0] + shift) % b
     sup = np.zeros(count)
     want_theta = theta_grid is not None
@@ -395,28 +390,18 @@ def exponential_separation_test(
         sampled = count > max_points
         if sampled:
             stream = SplitMix64(seed, f"separation.n{n}")
-            picks = np.unique(stream.words(0, max_points) % count)
-            syms = _indices_to_words(picks, params.b, n - ell)
+            picks = np.unique(stream.words(0, max_points) % count).astype(np.int64)
+            heads = _index_digits(picks, params.b, n - ell)
+            tails = np.tile(np.asarray(w, dtype=heads.dtype), (len(heads), 1))
+            values = symbolic_sum_batch(params, x, np.hstack([heads, tails]))
         else:
-            syms = symbol_block(params.b, n - ell, 0, count).astype(np.int64)
-        if ell:
-            tail_block = np.tile(np.asarray(w, dtype=np.int64), (len(syms), 1))
-            syms = np.hstack([syms, tail_block]) if n > ell else tail_block
-        values = symbolic_sum_batch(params, x, syms)
+            tails = np.tile(np.asarray(w, dtype=np.int64), (count, 1))
+            values = _branch_sums(params, x, n - ell, 0, count, suffix=tails)
         gap = _min_pairwise_gap(values)
         cert.rows.append(
-            SeparationRow(n, nhat, threshold, gap, gap > threshold, len(syms), sampled)
+            SeparationRow(n, nhat, threshold, gap, gap > threshold, len(values), sampled)
         )
     return cert
-
-
-def _indices_to_words(indices: np.ndarray, b: int, length: int) -> np.ndarray:
-    out = np.empty((len(indices), length), dtype=np.int64)
-    rem = indices.astype(np.int64)
-    for pos in range(length - 1, -1, -1):
-        out[:, pos] = rem % b
-        rem //= b
-    return out
 
 
 # === transversality ===
@@ -442,26 +427,6 @@ class TransversalityWitness:
             f"TRANSWIT v1 {self.t} {self.xi1!r} "
             f"{word_to_str(self.h)} {word_to_str(self.h_prime)} {word_to_str(self.a)}\n"
         )
-
-
-def _derivative_batch(
-    params: SystemParams, x, symbols: np.ndarray
-) -> np.ndarray:
-    """d/dx of the fiber sum for every row; scalar or per-row base points."""
-    rows, depth = symbols.shape
-    dphi = params.phi.derivative()
-    a = np.zeros(rows, dtype=np.float64)
-    a += np.asarray(x, dtype=np.float64)
-    acc = np.zeros(rows, dtype=np.complex128)
-    g = 1.0 / params.b + 0.0j
-    ratio = params.gamma / params.b
-    inv_b = 1.0 / params.b
-    for n in range(depth):
-        a += symbols[:, n]
-        a *= inv_b
-        acc += g * dphi(a)
-        g *= ratio
-    return acc
 
 
 def _interval_grid(b: int, word: Sequence[int], grid: int) -> np.ndarray:
@@ -500,14 +465,13 @@ def transversality_search(
             break
         nw = b**t
         tail = dsup * params.gamma_abs**t / (b**t * (b - params.gamma_abs))
-        words = symbol_block(b, t, 0, nw).astype(np.int64)
         best = None  # (margin, a_idx, h_idx, hp_idx)
         for a_idx in range(nw):
-            zs = _interval_grid(b, words[a_idx], grid)
+            zs = _interval_grid(b, word_from_index(a_idx, b, t), grid)
             # D[h, z]: depth-t derivative of branch h at z
             D = np.empty((nw, grid), dtype=np.complex128)
             for k, z in enumerate(zs):
-                D[:, k] = _derivative_batch(params, z, words)
+                D[:, k] = _branch_sums(params, z, t, 0, nw, derivative=True)
             m1 = np.abs(D).min(axis=1) - tail
             pair_min = np.full((nw, nw), math.inf)
             for k in range(grid):
@@ -525,9 +489,7 @@ def transversality_search(
         if best is None or best[0] <= 0.0:
             continue
         _, a_idx, h_idx, hp_idx = best
-        a_word = tuple(words[a_idx])
-        h = tuple(words[h_idx])
-        hp = tuple(words[hp_idx])
+        a_word, h, hp = (word_from_index(i, b, t) for i in (a_idx, h_idx, hp_idx))
         a1, a2 = _continuation_margins(
             params, h, hp, a_word, grid, sample_depth, samples, stream.derive(f"t{t}")
         )
@@ -563,17 +525,15 @@ def _continuation_margins(
     )
 
     def block(word: tuple, name: str) -> np.ndarray:
-        cont = (
-            stream.derive(name)
-            .integers(0, samples * sample_depth, b)
-            .reshape(samples, sample_depth)
-            .astype(np.int64)
-        )
-        head = np.tile(np.asarray(word, dtype=np.int64), (samples, 1))
-        syms = np.hstack([head, cont])
+        cont = stream.derive(name).integers(0, samples * sample_depth, b)
+        cont = cont.reshape(samples, sample_depth)
+        # the word is one leaf of the depth-|word| tree, continued per sample
+        leaf = word_value(word[::-1], b)
         out = np.empty((samples, len(zs)), dtype=np.complex128)
         for k, z in enumerate(zs):
-            out[:, k] = _derivative_batch(params, z, syms)
+            out[:, k] = _branch_sums(
+                params, z, len(word), leaf, leaf + 1, [samples], cont, derivative=True
+            )
         return out
 
     dh = block(h, "left")
@@ -587,7 +547,7 @@ def verify_transversality(
     params: SystemParams, witness: TransversalityWitness, grid_factor: int = 10, seed: int = 1
 ) -> tuple[float, float]:
     """Re-evaluate a witness on a finer grid with fresh continuations."""
-    a1, a2 = _continuation_margins(
+    return _continuation_margins(
         params,
         witness.h,
         witness.h_prime,
@@ -597,7 +557,6 @@ def verify_transversality(
         witness.samples * 2,
         SplitMix64(seed, "transversality.verify"),
     )
-    return a1, a2
 
 
 # === atomlessness and boundary mass ===

@@ -405,7 +405,12 @@ def _run_verify_suite(cfg: RunConfig, out: Path, threads: int, seed: int):
     cloud = generate_attractor(
         p, 20000, seed=stream_seed(seed, "verify-suite.cloud"), mode="orbit"
     )
-    box = box_dimension(cloud, p.b, range(2, 8))
+    # a surface fills b^(2l) boxes at level l; fit six levels up to the finest
+    # l with b^(2l) <= the cloud size (box_dimension drops saturated levels)
+    top = 1
+    while p.b ** (2 * top + 2) <= len(cloud):
+        top += 1
+    box = box_dimension(cloud, p.b, range(max(1, top - 5), top + 1))
     dim = box.slope
     checks.append(
         ("box-slope-range", 0.5 <= dim <= 3.001, f"dim={dim:.3f}")

@@ -112,12 +112,8 @@ def _word_cloud(
             depth += 1
     stream = SplitMix64(seed, "attractor.word")
     xs = stream.derive("base").uniform(0, count)
-    syms = (
-        stream.derive("words")
-        .integers(0, count * depth, params.b)
-        .reshape(count, depth)
-        .astype(np.int64)
-    )
+    syms = stream.derive("words").integers(0, count * depth, params.b)
+    syms = syms.reshape(count, depth)
     ys = symbolic_sum_batch(params, xs, syms)
     out = np.empty((count, 3))
     out[:, 0] = xs

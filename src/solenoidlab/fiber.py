@@ -9,10 +9,13 @@ fiction and the build refuses to run.
 
 Exhaustive mode enumerates all b^N words (budget-capped); sampled mode
 draws a stratified word sample from a named counter-mode stream.  Both
-modes bin fixed word blocks in order on the calling thread, and the
-blocks' integer count tables merge by addition.  The threads argument
-is still accepted but changes nothing, so every thread count gives the
-same table.
+evaluate word blocks with the prefix-tree kernel of the words module,
+which grows S_n = S_{n-1} + gamma^{n-1} phi(a_n) once per distinct
+prefix: an exhaustive block is a leaf range of the depth-N tree, a
+sampled block a range of strata grown as the tree, repeated by quota and
+continued by per-sample random suffix digits.  Blocks are binned in order
+on the calling thread, and their integer count tables merge by addition;
+the threads argument is accepted but changes nothing.
 """
 
 from __future__ import annotations
@@ -27,12 +30,11 @@ from .gridmeasure import GridMeasure, _RowSums, _bin_points
 from .params import SystemParams
 from .rng import SplitMix64
 from .words import (
+    _branch_sums,
+    _stratified_suffixes,
     enumerate_words,
-    sampled_symbol_block,
     stratum_layout,
-    symbol_block,
     symbolic_sum,
-    symbolic_sum_batch,
 )
 
 __all__ = [
@@ -146,18 +148,19 @@ def fiber_value_chunks(
         n_words = p.b**spec.depth
         for lo in range(0, n_words, block_words):
             hi = min(n_words, lo + block_words)
-            syms = symbol_block(p.b, spec.depth, lo, hi)
-            yield symbolic_sum_batch(p, spec.x, syms)
+            yield _branch_sums(p, spec.x, spec.depth, lo, hi)
     else:
         s, strata, base_quota = stratum_layout(p.b, spec.depth, spec.sample_count)
         stream = SplitMix64(spec.seed, "fiber.samples")
         per_block = max(1, block_words // max(1, base_quota + 1))
         for lo in range(0, strata, per_block):
             hi = min(strata, lo + per_block)
-            syms = sampled_symbol_block(
+            _, quotas, suffix = _stratified_suffixes(
                 p.b, spec.depth, spec.sample_count, stream, lo, hi
             )
-            yield symbolic_sum_batch(p, spec.x, syms)
+            values = _branch_sums(p, spec.x, s, lo, hi, quotas, suffix)
+            del quotas, suffix  # not held while the consumer bins the values
+            yield values
 
 
 def build_fiber_measure(spec: FiberMeasureSpec, threads: int = 1) -> GridMeasure:

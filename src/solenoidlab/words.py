@@ -17,9 +17,14 @@ identities every consumer leans on:
 
 are exposed as residual checks so tests can pin them to float accuracy.
 
-Scalar sums accumulate Horner-style from the deepest term outward; the
-vectorized batch engine accumulates outward-in (the cocycle expansion),
-which agrees to machine accuracy and is what measure builders use.
+Scalar sums accumulate Horner-style from the deepest term outward.  Batch
+sums go through one kernel, _branch_sums, which adds the terms in the
+order n = 1, 2, ....  Since a_n and the partial sum S_n = S_{n-1} + gamma^{n-1}
+phi(a_n) depend only on the first n digits, it grows them over the b-ary
+prefix tree, one drive evaluation per distinct prefix, and then row by
+row over per-row suffix digits.  The same level loop gives d/dx S with
+drive phi' and weights gamma^{n-1} / b^n.  Batch and scalar sums agree to
+machine accuracy.
 """
 
 from __future__ import annotations
@@ -176,6 +181,16 @@ def _digit_dtype(b: int) -> type:
     return np.int8 if b <= 128 else np.int64
 
 
+def _index_digits(idx: np.ndarray, b: int, depth: int) -> np.ndarray:
+    """Digit rows of word indices, as symbol_block; idx is divided in place."""
+    rem = np.empty_like(idx)
+    out = np.empty((len(idx), depth), dtype=_digit_dtype(b))
+    for pos in range(depth - 1, -1, -1):
+        np.divmod(idx, idx.dtype.type(b), out=(idx, rem))
+        out[:, pos] = rem
+    return out
+
+
 def symbol_block(b: int, depth: int, start: int, stop: int) -> np.ndarray:
     """Symbol matrix of words start..stop-1 (lexicographic), shape (stop-start, depth).
 
@@ -183,13 +198,7 @@ def symbol_block(b: int, depth: int, start: int, stop: int) -> np.ndarray:
     """
     # int32 division is markedly cheaper and covers every realistic block
     dtype = np.int32 if stop <= 2**31 else np.int64
-    idx = np.arange(start, stop, dtype=dtype)
-    rem = np.empty(stop - start, dtype=dtype)
-    out = np.empty((stop - start, depth), dtype=_digit_dtype(b))
-    for pos in range(depth - 1, -1, -1):
-        np.divmod(idx, dtype(b), out=(idx, rem))
-        out[:, pos] = rem
-    return out
+    return _index_digits(np.arange(start, stop, dtype=dtype), b, depth)
 
 
 def stratum_layout(b: int, depth: int, count: int) -> tuple[int, int, int]:
@@ -208,6 +217,36 @@ def stratum_layout(b: int, depth: int, count: int) -> tuple[int, int, int]:
     return s, strata, count // strata
 
 
+def _stratified_suffixes(
+    b: int, depth: int, count: int, stream: SplitMix64, start: int, stop: int
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """(prefix_len, quotas, suffix digits) of the samples of strata [start, stop).
+
+    Stratum i owns quotas[i - start] samples with prefix word i; their
+    suffix digits come from the stratum's own counter-mode sub-stream.
+    """
+    s, strata, base_quota = stratum_layout(b, depth, count)
+    if not 0 <= start <= stop <= strata:
+        raise ValueError("stratum range out of bounds")
+    quotas = np.full(stop - start, base_quota, dtype=np.int64)
+    quotas[: max(0, min(stop, count % strata) - start)] += 1
+    total = int(quotas.sum())
+    width = depth - s
+    out = np.empty((total, width), dtype=_digit_dtype(b))
+    if width and total:
+        ids = np.arange(start + 1, stop + 1, dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            states = mix64_array(np.uint64(stream.state) + ids * np.uint64(GAMMA64))
+            # digit k of sample j in its stratum: mix(state + (j*width + k + 1) * GAMMA)
+            j = np.arange(total, dtype=np.uint64)
+            j -= np.repeat((np.cumsum(quotas) - quotas).astype(np.uint64), quotas)
+            z = np.repeat(states, quotas) + j * np.uint64(width * GAMMA64 % 2**64)
+            for k in range(width):
+                z += np.uint64(GAMMA64)
+                out[:, k] = mix64_array(z) % np.uint64(b)
+    return s, quotas, out
+
+
 def sampled_symbol_block(
     b: int,
     depth: int,
@@ -222,91 +261,87 @@ def sampled_symbol_block(
     counter-mode sub-stream per stratum, so the output is independent of
     how strata are grouped into blocks.
     """
-    s, strata, base_quota = stratum_layout(b, depth, count)
-    rem = count % strata
-    if not 0 <= stratum_start <= stratum_stop <= strata:
-        raise ValueError("stratum range out of bounds")
-    n_str = stratum_stop - stratum_start
-    if n_str == 0:
-        return np.empty((0, depth), dtype=_digit_dtype(b))
+    s, quotas, suffix = _stratified_suffixes(
+        b, depth, count, stream, stratum_start, stratum_stop
+    )
+    prefix = symbol_block(b, s, stratum_start, stratum_stop)
+    return np.hstack([np.repeat(prefix, quotas, axis=0), suffix])
 
-    quotas = np.full(n_str, base_quota, dtype=np.int64)
-    ids = np.arange(stratum_start, stratum_stop, dtype=np.int64)
-    quotas[ids < rem] += 1
-    total = int(quotas.sum())
 
-    out = np.empty((total, depth), dtype=_digit_dtype(b))
-    # prefix digits repeat per quota
-    prefix = symbol_block(b, s, stratum_start, stratum_stop) if s else None
-    row_stratum = np.repeat(np.arange(n_str, dtype=np.int64), quotas)
-    if s:
-        out[:, :s] = prefix[row_stratum]
+# === the branch-sum kernel ===
 
-    suffix_len = depth - s
-    if suffix_len:
-        # per-stratum state, then counter-mode draws within the stratum
-        with np.errstate(over="ignore"):
-            states = mix64_array(
-                np.uint64(stream.state)
-                + (ids + 1).astype(np.uint64) * np.uint64(GAMMA64)
-            )
-        # counter j of each emitted symbol within its stratum
-        offs = np.concatenate(([0], np.cumsum(quotas)))[:-1]
-        sample_in_stratum = np.arange(total, dtype=np.int64) - offs[row_stratum]
-        base_counter = (sample_in_stratum * suffix_len).astype(np.uint64)
-        expanded_states = states[row_stratum]
-        for k in range(suffix_len):
-            with np.errstate(over="ignore"):
-                z = expanded_states + (
-                    (base_counter + np.uint64(k + 1)) * np.uint64(GAMMA64)
-                )
-            out[:, s + k] = mix64_array(z) % np.uint64(b)
+
+def _branch_sums(
+    params: SystemParams,
+    x,
+    prefix_len: int = 0,
+    lo: int = 0,
+    hi: int = 1,
+    counts=None,
+    suffix=None,
+    derivative: bool = False,
+) -> np.ndarray:
+    """Fiber sums S(x, w), or with derivative=True d/dx S(x, w), as complex128.
+
+    The rows are the depth-prefix_len words of lexicographic index lo..hi-1,
+    each repeated counts[i] times (once when counts is None) and continued
+    by its row of the suffix digit matrix.  Prefix levels grow the b-ary
+    tree: a_n = (a_{n-1} + w_n) / b and S_n = S_{n-1} + g_n drive(a_n) are
+    formed once per distinct prefix.  Suffix levels run row by row.  A row
+    gets the same float operations in the same order as when all its digits
+    are suffix digits, so both forms agree bit for bit.  x is a scalar, or
+    one base point per row when prefix_len is 0 and counts is None.
+    """
+    b = params.b
+    if derivative:  # drive phi', level-n weight gamma^{n-1} / b^n
+        drive, ratio, g = params.phi.derivative(), params.gamma / b, 1.0 / b + 0.0j
+    else:
+        drive, ratio, g = params.phi, params.gamma, 1.0 + 0.0j
+    inv_b = 1.0 / b
+    # rows: branch point a, Re S, Im S; one column per prefix or row
+    st = np.zeros((3, np.size(x)), dtype=np.float64)
+    st[0] += np.asarray(x, dtype=np.float64)
+    digits = np.arange(b, dtype=np.float64)
+    first = 0  # index of the first prefix held at the current tree level
+    width = 0 if suffix is None else suffix.shape[1]
+    for n in range(prefix_len + 1 + width):
+        if n < prefix_len:
+            unit = b ** (prefix_len - 1 - n)
+            start = lo // unit
+            st = np.repeat(st, b, axis=1)
+            children = st[0].reshape(-1, b)
+            children += digits
+            children *= inv_b
+            st = st[:, start - first * b : (hi - 1) // unit + 1 - first * b]
+            first = start
+        elif n == prefix_len:
+            # the leaves, each repeated by its count, become the rows
+            if counts is not None:
+                st = np.repeat(st, counts, axis=1)
+            continue
+        else:
+            st[0] += suffix[:, n - prefix_len - 1]
+            st[0] *= inv_b
+        v = drive(st[0])
+        if g.imag != 0.0:
+            st[2] += v * g.imag
+        v *= g.real
+        st[1] += v
+        g *= ratio
+    out = np.empty(st.shape[1], dtype=np.complex128)
+    out.real = st[1]
+    out.imag = st[2]
     return out
 
 
 def symbolic_sum_batch(params: SystemParams, x, symbols: np.ndarray) -> np.ndarray:
     """Fiber sums S(x, w) for every row of a symbol matrix, as complex128.
 
-    x may be a scalar (shared base point) or one base point per row.
-    Outward-in accumulation; agrees with symbolic_sum to float roundoff.
+    x may be a scalar (shared base point) or one base point per row.  The
+    flat case of _branch_sums; agrees with symbolic_sum to float roundoff.
     """
-    rows, depth = symbols.shape
-    if rows == 0:
-        return np.zeros(0, dtype=np.complex128)
-    gamma = params.gamma
-    a = np.zeros(rows, dtype=np.float64)
-    a += np.asarray(x, dtype=np.float64)
-    # accumulate the components separately; a complex axpy per level costs
-    # an extra pass and a temporary
-    re = np.zeros(rows, dtype=np.float64)
-    im = np.zeros(rows, dtype=np.float64)
-    tmp = np.empty(rows, dtype=np.float64)
-    change = np.empty(rows, dtype=np.bool_)
-    g = 1.0 + 0.0j
-    inv_b = 1.0 / params.b
-    for n in range(depth):
-        a += symbols[:, n]
-        a *= inv_b
-        # lexicographic word blocks leave the early levels' angle arrays
-        # piecewise constant, so phi only needs one evaluation per run
-        change[0] = True
-        np.not_equal(a[1:], a[:-1], out=change[1:])
-        starts = np.flatnonzero(change)
-        if 4 * len(starts) <= rows:
-            lengths = np.diff(starts, append=rows)
-            v = np.repeat(params.phi(a[starts]), lengths)
-        else:
-            v = params.phi(a)
-        np.multiply(v, g.real, out=tmp)
-        re += tmp
-        if g.imag != 0.0:
-            np.multiply(v, g.imag, out=tmp)
-            im += tmp
-        g *= gamma
-    acc = np.empty(rows, dtype=np.complex128)
-    acc.real = re
-    acc.imag = im
-    return acc
+    counts = None if np.ndim(x) else [len(symbols)]
+    return _branch_sums(params, x, counts=counts, suffix=symbols)
 
 
 # === identity residuals ===

@@ -118,6 +118,18 @@ def test_verify_suite_default_system(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("verify-suite OK alpha=")
 
 
+def test_verify_suite_b3_sampled(tmp_path, capsys):
+    # at b=3 the 20000-point cloud saturates every level above 2, so the
+    # box-count levels must follow b, not the b=2 range 2..7
+    text = "b = 3\ngamma_abs = 0.55\nn = 5\nmode = sampled\nsample_count = 4000\nseed = 7\n"
+    code = run(tmp_path, text, ["verify-suite"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("verify-suite OK ")
+    report = (tmp_path / "verify-suite-7.txt").read_text().splitlines()
+    assert any(line.startswith("ok   box-slope-range dim=") for line in report)
+    assert not any(line.startswith("FAIL") for line in report)
+
+
 def test_thread_count_does_not_change_artifacts(tmp_path, capsys):
     text = FAST_SYSTEM + "mode = sampled\nsample_count = 4000\ndepth = 12\nn = 5\n"
     a = tmp_path / "a"

@@ -118,11 +118,21 @@ def test_support_inside_certified_box(system_b3):
     assert np.all(np.abs(centers) <= radius)
 
 
-def test_value_chunks_concatenate_to_full_set(system_b2):
-    spec = FiberMeasureSpec(system_b2, 0.55, 7, 4)
+@pytest.mark.parametrize(
+    "mode,sample_count",
+    # 50 samples at depth 7: 32 strata of 1 or 2 words, two suffix digits,
+    # and blocks of 6 strata
+    [("exhaustive", 0), ("sampled", 50)],
+    ids=["exhaustive", "sampled"],
+)
+def test_value_chunks_concatenate_to_full_set(system_b2, mode, sample_count):
+    spec = FiberMeasureSpec(
+        system_b2, 0.55, 7, 4, mode=mode, sample_count=sample_count, seed=3
+    )
     chunks = list(fiber_value_chunks(spec, block_words=13))
+    assert len(chunks) > 2
     values = np.concatenate(chunks)
-    assert len(values) == 2**7
+    assert len(values) == spec.total_words
     whole = np.concatenate(list(fiber_value_chunks(spec)))
     assert np.array_equal(values, whole)
 

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solenoidlab.params import SystemParams, TrigPoly
 from solenoidlab.rng import SplitMix64
 from solenoidlab.words import (
+    _branch_sums,
     branch_addresses,
     branch_interval,
     check_word,
@@ -235,6 +236,47 @@ def test_batch_sums_match_scalar_for_wide_bases(b, depth, start, x):
             assert v == pytest.approx(symbolic_sum(p, x, word), abs=1e-12)
     for i, row in zip(range(start, stop), exhaustive):
         assert tuple(int(s) for s in row) == word_from_index(i, b, depth)
+
+
+@given(
+    b=st.integers(2, 300),
+    prefix_len=st.integers(0, 4),
+    suffix_len=st.integers(0, 4),
+    data=st.data(),
+    x=st.floats(0.0, 0.99),
+)
+@example(b=200, prefix_len=2, suffix_len=2, data=None, x=0.3)
+@settings(max_examples=80, deadline=None)
+def test_prefix_tree_kernel_matches_flat_and_scalar(b, prefix_len, suffix_len, data, x):
+    # the tree form adds the same terms in the same order as the flat form
+    p = SystemParams(b, 0.6, 0.137, TrigPoly(0.3, (1.0, 0.5), (0.25,)))
+    while b**prefix_len > 10**6:
+        prefix_len -= 1
+    leaves = b**prefix_len
+    if data is None:  # the explicit example: a range straddling two subtrees
+        lo, hi = b - 3, b + 4
+        counts = np.array([2, 0, 1, 3, 1, 0, 2])
+    else:
+        lo = data.draw(st.integers(0, leaves - 1))
+        hi = data.draw(st.integers(lo + 1, min(leaves, lo + 20)))
+        n = hi - lo
+        counts = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    rows = int(counts.sum())
+    suffix = SplitMix64(b + lo, "suffix").integers(0, rows * suffix_len, b)
+    suffix = suffix.reshape(rows, suffix_len)
+    tree = _branch_sums(p, x, prefix_len, lo, hi, counts, suffix)
+    heads = np.repeat(symbol_block(b, prefix_len, lo, hi), counts, axis=0)
+    full = np.hstack([heads.astype(np.int64), suffix])
+    flat = symbolic_sum_batch(p, x, full)
+    assert np.array_equal(tree.view(np.uint64), flat.view(np.uint64))
+    deriv = _branch_sums(p, x, prefix_len, lo, hi, counts, suffix, derivative=True)
+    for row, v, d in zip(full, tree, deriv):
+        word = tuple(int(s) for s in row)
+        if word:
+            assert abs(v - symbolic_sum(p, x, word)) < 1e-12
+            assert abs(d - symbolic_sum_derivative(p, x, word)) < 1e-12
+        else:
+            assert v == 0 and d == 0
 
 
 def test_random_words_shape_and_determinism():
