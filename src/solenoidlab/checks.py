@@ -111,9 +111,9 @@ def condition_h_probe(
         sups = sup[ii, jj]
         order = np.argsort(sups, kind="stable")
         min_sup = float(sups[order[0]])
-        worst = (tuple(syms[ii[order[0]]]), tuple(syms[jj[order[0]]]))
+        worst = (tuple(syms[ii[order[0]]].tolist()), tuple(syms[jj[order[0]]].tolist()))
         fails = [
-            (tuple(syms[ii[o]]), tuple(syms[jj[o]]), float(sups[o]))
+            (tuple(syms[ii[o]].tolist()), tuple(syms[jj[o]].tolist()), float(sups[o]))
             for o in order[:100]
             if sups[o] <= noise
         ]
@@ -151,9 +151,9 @@ def condition_h_probe(
             vj[:, k] = d_j
     order = np.argsort(sup, kind="stable")
     min_sup = float(sup[order[0]])
-    worst = (tuple(si[order[0]]), tuple(sj[order[0]]))
+    worst = (tuple(si[order[0]].tolist()), tuple(sj[order[0]].tolist()))
     fails = [
-        (tuple(si[o]), tuple(sj[o]), float(sup[o]))
+        (tuple(si[o].tolist()), tuple(sj[o].tolist()), float(sup[o]))
         for o in order[:100]
         if sup[o] <= noise
     ]
@@ -590,7 +590,8 @@ def atomlessness_probe(
 ) -> AtomlessnessTable:
     """Max projected cell mass per (base point, angle, level); rows shrink with level.
 
-    threads is accepted for compatibility and changes nothing.
+    threads is accepted for compatibility and changes nothing (fiber
+    value blocks use every CPU of the process whatever it says).
     """
     from .fiber import FiberMeasureSpec, build_fiber_measure, depth_for_resolution
     from .projection import project_measure
@@ -644,7 +645,8 @@ def boundary_mass_probe(
     it must be at least one cell of the working measure wide, otherwise
     the question outruns the resolution.  Pass mu to probe a prebuilt
     measure instead of constructing one.  threads is accepted for
-    compatibility and changes nothing.
+    compatibility and changes nothing (fiber value blocks use every CPU
+    of the process whatever it says).
     """
     from .fiber import FiberMeasureSpec, build_fiber_measure, depth_for_resolution
 

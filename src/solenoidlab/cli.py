@@ -1,7 +1,8 @@
 """Command-line orchestration: one subcommand per experiment.
 
 Flags beat config values, which beat defaults.  The thread count (flag,
-config or SOLENOID_THREADS) is still accepted and changes nothing.
+config or SOLENOID_THREADS) is still accepted and changes nothing: fiber
+value blocks are filled on every CPU of the process whatever it says.
 Every output file starts with a comment header carrying the config hash
 and seed, and all randomness is derived from that single seed through
 named sub-streams, so rerunning any experiment cannot perturb another.
@@ -52,6 +53,7 @@ from .words import (
     scale_hat,
     scale_tilde,
     word_from_str,
+    word_to_str,
 )
 
 EXPERIMENTS = (
@@ -283,7 +285,7 @@ def _run_condition_h(cfg: RunConfig, out: Path, threads: int, seed: int):
         f"pairs_checked: {report.pairs_checked}\n",
         f"min_sup: {report.min_sup!r}\n",
         f"noise_floor: {report.noise_floor!r}\n",
-        f"worst_pair: {report.worst_pair[0]} {report.worst_pair[1]}\n",
+        f"worst_pair: {' '.join(word_to_str(w) for w in report.worst_pair)}\n",
         f"fail_candidates: {len(report.fail_candidates)}\n",
     ]
     (out / f"condition-h-{seed}.txt").write_text("".join(lines))

@@ -184,7 +184,8 @@ def fiber_dimension(
     Fits H(m_x, L_l) against l after trimming the coarsest and finest
     levels and dropping any level whose occupied-cell count exceeds a
     tenth of the sample budget (where the empirical measure goes flat).
-    threads is accepted for compatibility and changes nothing.
+    threads is accepted for compatibility and changes nothing (fiber
+    value blocks use every CPU of the process whatever it says).
     """
     spec = FiberMeasureSpec(
         params, x, depth, resolution, mode=mode, sample_count=sample_count, seed=seed

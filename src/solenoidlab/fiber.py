@@ -13,13 +13,18 @@ evaluate word blocks with the prefix-tree kernel of the words module,
 which grows S_n = S_{n-1} + gamma^{n-1} phi(a_n) once per distinct
 prefix: an exhaustive block is a leaf range of the depth-N tree, a
 sampled block a range of strata grown as the tree, repeated by quota and
-continued by per-sample random suffix digits.  Blocks are binned in order
-on the calling thread, and their integer count tables merge by addition;
-the threads argument is accepted but changes nothing.
+continued by per-sample random suffix digits.  Each value block is filled
+in tiles of about 2^16 rows on every CPU the process may run on (the
+calling thread plus one thread per other CPU); tiles write disjoint
+slices and compute the same bits on any CPU count.  Blocks are binned in
+order on the calling thread, and their integer count tables merge by
+addition; the threads argument is accepted but changes nothing.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -31,6 +36,7 @@ from .params import SystemParams
 from .rng import SplitMix64
 from .words import (
     _branch_sums,
+    _first_samples,
     _stratified_suffixes,
     enumerate_words,
     stratum_layout,
@@ -49,6 +55,9 @@ __all__ = [
 
 EXHAUSTIVE_WORD_BUDGET = 2**24
 _BLOCK_TARGET = 1 << 18
+# rows a tile fills: its working set stays in a core's cache, and tiles
+# much smaller than this repay their per-level Python work poorly
+_TILE_ROWS = 1 << 16
 
 # Index magnitudes must stay well inside int64 even after pair encoding.
 _INDEX_SAFE = 2**60
@@ -134,41 +143,111 @@ class FiberMeasureSpec:
         return self.sample_count
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fill_tiles(tiles: list, fill, helpers: int) -> None:
+    """Run fill(*tile) for every tile, on the calling thread and helpers new threads.
+
+    Tiles are taken in order from one shared list, so a block of one tile,
+    or helpers == 0, runs inline and starts no thread.  The first error
+    stops the hand-out of tiles and is raised here.
+    """
+    todo = iter(tiles)
+    lock = threading.Lock()
+    errors = []
+
+    def drain():
+        try:
+            while True:
+                with lock:
+                    tile = next(todo, None)
+                if tile is None:
+                    return
+                fill(*tile)
+        except BaseException as exc:  # raised again on the calling thread
+            with lock:
+                errors.append(exc)
+                for _ in todo:
+                    pass
+
+    n_threads = min(helpers, len(tiles) - 1)
+    threads = [threading.Thread(target=drain) for _ in range(n_threads)]
+    for t in threads:
+        t.start()
+    drain()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+
+
 def fiber_value_chunks(
     spec: FiberMeasureSpec, block_words: int = _BLOCK_TARGET
 ) -> Iterator[np.ndarray]:
     """Yield the branch-sum values of the spec's word list in fixed blocks.
 
     The block boundaries depend only on the spec, never on the consumer,
-    so any accumulation over the chunks is replayable.
+    so any accumulation over the chunks is replayable.  Each block is
+    filled in tiles of about _TILE_ROWS rows, a tile being a leaf range of
+    the depth-N tree (exhaustive) or a strata range (sampled).  Tiles run
+    on the calling thread and one more thread per other CPU of the
+    process; every node of the tree gets the same float operations in any
+    range it is grown in, and counter-mode draws do not depend on the
+    range, so the values are the same bits on any number of CPUs.
     """
     spec.validate()
     p = spec.params
     if spec.mode == "exhaustive":
-        n_words = p.b**spec.depth
-        for lo in range(0, n_words, block_words):
-            hi = min(n_words, lo + block_words)
-            yield _branch_sums(p, spec.x, spec.depth, lo, hi)
+        # one unit per word: the leaves of the depth-N tree
+        units = count = p.b**spec.depth
+        rows_per_unit = 1
+
+        def fill(a, c, out):
+            _branch_sums(p, spec.x, spec.depth, a, c, out=out)
+
     else:
-        s, strata, base_quota = stratum_layout(p.b, spec.depth, spec.sample_count)
+        # one unit per stratum, holding base_quota or base_quota + 1 samples
+        count = spec.sample_count
+        s, units, base_quota = stratum_layout(p.b, spec.depth, count)
+        rows_per_unit = base_quota + 1
         stream = SplitMix64(spec.seed, "fiber.samples")
-        per_block = max(1, block_words // max(1, base_quota + 1))
-        for lo in range(0, strata, per_block):
-            hi = min(strata, lo + per_block)
+
+        def fill(a, c, out):
             _, quotas, suffix = _stratified_suffixes(
-                p.b, spec.depth, spec.sample_count, stream, lo, hi
+                p.b, spec.depth, count, stream, a, c
             )
-            values = _branch_sums(p, spec.x, s, lo, hi, quotas, suffix)
-            del quotas, suffix  # not held while the consumer bins the values
-            yield values
+            _branch_sums(p, spec.x, s, a, c, quotas, suffix, out=out)
+
+    # a block holds at most block_words rows, a tile about _TILE_ROWS
+    per_block = max(1, block_words // rows_per_unit)
+    per_tile = max(1, _TILE_ROWS * units // count)
+    helpers = _cpus() - 1
+    for lo in range(0, units, per_block):
+        hi = min(units, lo + per_block)
+        cuts = list(range(lo, hi, per_tile)) + [hi]
+        rows = _first_samples(count, units, cuts)
+        rows = (rows - rows[0]).tolist()
+        block = np.empty(rows[-1], dtype=np.complex128)
+        tiles = [
+            (a, c, block[r0:r1])
+            for a, c, r0, r1 in zip(cuts, cuts[1:], rows, rows[1:])
+        ]
+        _fill_tiles(tiles, fill, helpers)
+        yield block
 
 
 def build_fiber_measure(spec: FiberMeasureSpec, threads: int = 1) -> GridMeasure:
     """Materialize the fiber measure at spec.resolution.
 
     Integer counts per cell; total equals the word count of the spec.
-    threads is accepted for compatibility and changes nothing: blocks are
-    binned in order on the calling thread.
+    threads is accepted for compatibility and changes nothing: value blocks
+    are filled on every CPU of the process (fiber_value_chunks) and binned
+    in order on the calling thread.
     """
     spec.validate()
     p = spec.params

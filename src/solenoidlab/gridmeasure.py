@@ -373,7 +373,7 @@ def dump_measure(mu: GridMeasure) -> str:
     """Text dump: header line then one 'k1 [k2] weight' line per cell, sorted."""
     out = io.StringIO()
     out.write(
-        f"GRIDMEASURE v1 dim={mu.dim} level={mu.level} total={mu.total}\n"
+        f"GRIDMEASURE v2 base={mu.base} dim={mu.dim} level={mu.level} total={mu.total}\n"
     )
     if mu.dim == 1:
         for k, w in zip(mu.idx[:, 0], mu.weights):
@@ -384,18 +384,26 @@ def dump_measure(mu: GridMeasure) -> str:
     return out.getvalue()
 
 
-def load_measure(text: str, base: int) -> GridMeasure:
+def load_measure(text: str, base: Optional[int] = None) -> GridMeasure:
     """Parse a dump.  Leading '#' comment lines are permitted and skipped.
 
-    The grid base is not part of the format and must be supplied.
+    A v2 dump carries its grid base, and a base passed here must agree
+    with it.  A v1 dump has none, so the caller must supply it.
     """
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty measure dump")
     header = lines[0].split()
-    if header[:2] != ["GRIDMEASURE", "v1"]:
+    if header[:2] not in (["GRIDMEASURE", "v1"], ["GRIDMEASURE", "v2"]):
         raise ValueError(f"bad measure header: {lines[0]!r}")
     fields = dict(part.split("=", 1) for part in header[2:])
+    if header[1] == "v2":
+        stored = int(fields["base"])
+        if base is not None and base != stored:
+            raise ValueError(f"base {base} given for a dump of base {stored}")
+        base = stored
+    elif base is None:
+        raise ValueError("a GRIDMEASURE v1 dump has no base; pass it")
     dim = int(fields["dim"])
     level = int(fields["level"])
     total = int(fields["total"])

@@ -114,7 +114,8 @@ def projection_entropy_sweep(
 
     Each fiber measure is built once per base point and projected at
     every angle; the projected-dimension estimate is the grid minimum.
-    threads is accepted for compatibility and changes nothing.
+    threads is accepted for compatibility and changes nothing (fiber
+    value blocks use every CPU of the process whatever it says).
     """
     xs = [float(x) for x in x_grid]
     thetas = [float(t) for t in theta_grid]

@@ -46,9 +46,17 @@ def mix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK
 
 
-def mix64_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized SplitMix64 finalizer (uint64 in, uint64 out)."""
-    z = z.astype(np.uint64, copy=True)
+def mix64_array(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized SplitMix64 finalizer (uint64 in, uint64 out).
+
+    out, a uint64 array of z's shape, receives the result in place of a
+    fresh copy.
+    """
+    if out is None:
+        z = z.astype(np.uint64, copy=True)
+    else:
+        out[...] = z
+        z = out
     with np.errstate(over="ignore"):
         z ^= z >> np.uint64(30)
         z *= np.uint64(0xBF58476D1CE4E5B9)

@@ -106,7 +106,8 @@ def projection_entropy_observable(
     normalized entropy of the angle-theta projection of the fiber
     measure based at the branch point w(0).  The fiber measures are
     built once and captured in the closure.  threads is accepted for
-    compatibility and changes nothing.
+    compatibility and changes nothing (fiber value blocks use every CPU
+    of the process whatever it says).
     """
     lt = scale_tilde(params, ell)
     if lt < 1:
@@ -165,7 +166,8 @@ def birkhoff_average(
     an ell-block average, so the matching shift advances ell steps at a
     time).  The integral is a midpoint rule on quad_points angles; each
     report row carries the running average and its gap to the integral.
-    threads is accepted for compatibility and changes nothing.
+    threads is accepted for compatibility and changes nothing (fiber
+    value blocks use every CPU of the process whatever it says).
     """
     if k_max < 1:
         raise ValueError("need k_max >= 1")

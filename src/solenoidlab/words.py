@@ -24,7 +24,10 @@ phi(a_n) depend only on the first n digits, it grows them over the b-ary
 prefix tree, one drive evaluation per distinct prefix, and then row by
 row over per-row suffix digits.  The same level loop gives d/dx S with
 drive phi' and weights gamma^{n-1} / b^n.  Batch and scalar sums agree to
-machine accuracy.
+machine accuracy.  A row's sum has the same bits whatever leaf range it
+is grown in, and sampled suffix digits are counter-mode draws per
+stratum, so the fiber module fills value blocks from independent tiles
+on several threads, each writing its own slice of the block.
 """
 
 from __future__ import annotations
@@ -217,6 +220,16 @@ def stratum_layout(b: int, depth: int, count: int) -> tuple[int, int, int]:
     return s, strata, count // strata
 
 
+def _first_samples(count: int, strata: int, ids: np.ndarray) -> np.ndarray:
+    """Sample index at which each stratum in ids starts, as stratum_layout deals them.
+
+    Stratum i holds count // strata samples, plus one while
+    i < count % strata; ids may run to strata itself (the end).
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    return ids * (count // strata) + np.minimum(ids, count % strata)
+
+
 def _stratified_suffixes(
     b: int, depth: int, count: int, stream: SplitMix64, start: int, stop: int
 ) -> tuple[int, np.ndarray, np.ndarray]:
@@ -225,12 +238,13 @@ def _stratified_suffixes(
     Stratum i owns quotas[i - start] samples with prefix word i; their
     suffix digits come from the stratum's own counter-mode sub-stream.
     """
-    s, strata, base_quota = stratum_layout(b, depth, count)
+    s, strata, _ = stratum_layout(b, depth, count)
     if not 0 <= start <= stop <= strata:
         raise ValueError("stratum range out of bounds")
-    quotas = np.full(stop - start, base_quota, dtype=np.int64)
-    quotas[: max(0, min(stop, count % strata) - start)] += 1
-    total = int(quotas.sum())
+    firsts = _first_samples(count, strata, np.arange(start, stop + 1))
+    firsts -= firsts[0]
+    quotas = np.diff(firsts)
+    total = int(firsts[-1])
     width = depth - s
     out = np.empty((total, width), dtype=_digit_dtype(b))
     if width and total:
@@ -239,11 +253,15 @@ def _stratified_suffixes(
             states = mix64_array(np.uint64(stream.state) + ids * np.uint64(GAMMA64))
             # digit k of sample j in its stratum: mix(state + (j*width + k + 1) * GAMMA)
             j = np.arange(total, dtype=np.uint64)
-            j -= np.repeat((np.cumsum(quotas) - quotas).astype(np.uint64), quotas)
-            z = np.repeat(states, quotas) + j * np.uint64(width * GAMMA64 % 2**64)
+            j -= np.repeat(firsts[:-1].astype(np.uint64), quotas)
+            j *= np.uint64(width * GAMMA64 % 2**64)
+            z = np.repeat(states, quotas)
+            z += j
+            draw = j  # one scratch column, reused for every digit
             for k in range(width):
                 z += np.uint64(GAMMA64)
-                out[:, k] = mix64_array(z) % np.uint64(b)
+                mix64_array(z, out=draw)
+                out[:, k] = np.remainder(draw, np.uint64(b), out=draw)
     return s, quotas, out
 
 
@@ -280,6 +298,7 @@ def _branch_sums(
     counts=None,
     suffix=None,
     derivative: bool = False,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fiber sums S(x, w), or with derivative=True d/dx S(x, w), as complex128.
 
@@ -290,7 +309,8 @@ def _branch_sums(
     formed once per distinct prefix.  Suffix levels run row by row.  A row
     gets the same float operations in the same order as when all its digits
     are suffix digits, so both forms agree bit for bit.  x is a scalar, or
-    one base point per row when prefix_len is 0 and counts is None.
+    one base point per row when prefix_len is 0 and counts is None.  out,
+    a complex128 array of one entry per row, receives the sums if given.
     """
     b = params.b
     if derivative:  # drive phi', level-n weight gamma^{n-1} / b^n
@@ -315,8 +335,9 @@ def _branch_sums(
             st = st[:, start - first * b : (hi - 1) // unit + 1 - first * b]
             first = start
         elif n == prefix_len:
-            # the leaves, each repeated by its count, become the rows
-            if counts is not None:
+            # the leaves, each repeated by its count, become the rows (a
+            # repeat by all ones would only copy them)
+            if counts is not None and np.any(np.not_equal(counts, 1)):
                 st = np.repeat(st, counts, axis=1)
             continue
         else:
@@ -328,7 +349,8 @@ def _branch_sums(
         v *= g.real
         st[1] += v
         g *= ratio
-    out = np.empty(st.shape[1], dtype=np.complex128)
+    if out is None:
+        out = np.empty(st.shape[1], dtype=np.complex128)
     out.real = st[1]
     out.imag = st[2]
     return out

@@ -171,3 +171,15 @@ def test_rotation_runs_end_to_end(tmp_path, capsys):
     lines = (tmp_path / "rotation-0.csv").read_text().splitlines()
     assert lines[1] == "k,partial_average,integral,gap"
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize("budget", [1 << 18, 50], ids=["exhaustive", "sampled"])
+def test_condition_h_words_are_digit_strings(tmp_path, capsys, budget):
+    text = FAST_SYSTEM + f"probe_depth = 5\npair_budget = {budget}\nseed = 7\n"
+    assert run(tmp_path, text, ["condition-h"]) == 0
+    report = (tmp_path / "condition-h-7.txt").read_text()
+    assert "np.int64(" not in report
+    (line,) = [ln for ln in report.splitlines() if ln.startswith("worst_pair: ")]
+    left, right = line.split()[1:]
+    assert len(left) == len(right) == 5
+    assert set(left + right) <= {"0", "1"} and left[0] != right[0]

@@ -1,11 +1,15 @@
 """Fiber measure construction: certification, oracles, refinement, determinism."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from solenoidlab import fiber
 from solenoidlab.fiber import (
     EXHAUSTIVE_WORD_BUDGET,
     FiberMeasureSpec,
@@ -16,7 +20,14 @@ from solenoidlab.fiber import (
     refine_fiber_measure,
 )
 from solenoidlab.params import SystemParams, TrigPoly
-from solenoidlab.words import enumerate_words, word_address
+from solenoidlab.rng import SplitMix64
+from solenoidlab.words import (
+    _branch_sums,
+    _stratified_suffixes,
+    enumerate_words,
+    stratum_layout,
+    word_address,
+)
 
 
 def enumeration_oracle(params, x, depth, level):
@@ -135,6 +146,85 @@ def test_value_chunks_concatenate_to_full_set(system_b2, mode, sample_count):
     assert len(values) == spec.total_words
     whole = np.concatenate(list(fiber_value_chunks(spec)))
     assert np.array_equal(values, whole)
+
+
+@given(
+    b=st.integers(2, 4),
+    depth=st.integers(1, 7),
+    count=st.integers(1, 400),
+    sampled=st.booleans(),
+    tile_rows=st.integers(1, 9),
+    block_words=st.integers(1, 60),
+    cpus=st.integers(1, 2),
+)
+@settings(max_examples=60, deadline=None)
+def test_tiled_blocks_match_one_range(
+    b, depth, count, sampled, tile_rows, block_words, cpus
+):
+    # tiny tiles split every block, and sampled strata hold uneven quotas
+    # when count % strata != 0; the values must be the one-range kernel's bits
+    while b**depth > 600:  # one-row tiles: keep the tile count small
+        depth -= 1
+    p = SystemParams(b, 0.5, 0.3, TrigPoly(0.1, (1.0, 0.4), (0.2,)))
+    x = 0.37
+    if sampled:
+        spec = FiberMeasureSpec(
+            p, x, depth, 0, mode="sampled", sample_count=count, seed=11
+        )
+        s, strata, base_quota = stratum_layout(b, depth, count)
+        stream = SplitMix64(spec.seed, "fiber.samples")
+        _, quotas, suffix = _stratified_suffixes(b, depth, count, stream, 0, strata)
+        whole = _branch_sums(p, x, s, 0, strata, quotas, suffix)
+        per_block = max(1, block_words // (base_quota + 1))
+        sizes = [
+            int(quotas[lo : lo + per_block].sum()) for lo in range(0, strata, per_block)
+        ]
+    else:
+        spec = FiberMeasureSpec(p, x, depth, 0)
+        whole = _branch_sums(p, x, depth, 0, b**depth)
+        sizes = [
+            len(whole[lo : lo + block_words]) for lo in range(0, b**depth, block_words)
+        ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fiber, "_TILE_ROWS", tile_rows)
+        mp.setattr(fiber, "_cpus", lambda: cpus)
+        chunks = list(fiber_value_chunks(spec, block_words=block_words))
+    assert [len(c) for c in chunks] == sizes
+    assert np.array_equal(np.concatenate(chunks).view(np.uint64), whole.view(np.uint64))
+
+
+@pytest.mark.parametrize("mode,sample_count", [("exhaustive", 0), ("sampled", 2000)])
+def test_tiles_under_thread_stress(system_b3, monkeypatch, mode, sample_count):
+    # more threads than cores and a short switch interval: each tile
+    # must still be taken once and written to its own slice
+    spec = FiberMeasureSpec(
+        system_b3, 0.21, 7, 3, mode=mode, sample_count=sample_count, seed=4
+    )
+    whole = np.concatenate(list(fiber_value_chunks(spec, block_words=400)))
+    monkeypatch.setattr(fiber, "_TILE_ROWS", 3)
+    monkeypatch.setattr(fiber, "_cpus", lambda: 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        chunks = list(fiber_value_chunks(spec, block_words=400))
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(np.concatenate(chunks).view(np.uint64), whole.view(np.uint64))
+
+
+def test_tile_error_reaches_the_caller(system_b2, monkeypatch):
+    # a tile that fails on a helper thread fails the block, not silently
+    def failing(params, x, prefix_len, lo, hi, *rest, **kw):
+        if lo >= 40:
+            raise ArithmeticError("tile failed")
+        return _branch_sums(params, x, prefix_len, lo, hi, *rest, **kw)
+
+    monkeypatch.setattr(fiber, "_TILE_ROWS", 8)
+    monkeypatch.setattr(fiber, "_cpus", lambda: 2)
+    monkeypatch.setattr(fiber, "_branch_sums", failing)
+    spec = FiberMeasureSpec(system_b2, 0.55, 7, 4)
+    with pytest.raises(ArithmeticError, match="tile failed"):
+        list(fiber_value_chunks(spec, block_words=64))
 
 
 def test_thread_count_invariance_exhaustive(system_b3):

@@ -146,7 +146,40 @@ def test_dump_load_round_trip():
 def test_dump_header_fields():
     mu = random_measure(17, base=2, dim=1, level=4, cells=6)
     head = dump_measure(mu).splitlines()[0]
-    assert head == f"GRIDMEASURE v1 dim=1 level=4 total={mu.total}"
+    assert head == f"GRIDMEASURE v2 base=2 dim=1 level=4 total={mu.total}"
+
+
+@given(
+    st.integers(0, 10**6),
+    st.integers(2, 7),
+    st.integers(1, 2),
+    st.integers(0, 3),
+    st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_dump_round_trip_carries_base(seed, base, dim, level, pass_base):
+    mu = random_measure(seed, base=base, dim=dim, level=level, cells=9)
+    text = dump_measure(mu)
+    back = load_measure(text, base if pass_base else None)
+    assert back.base == base and back.equals(mu)
+    assert dump_measure(back) == text
+
+
+def test_load_rejects_conflicting_base():
+    mu = random_measure(23, base=3, dim=2, level=2, cells=8)
+    text = dump_measure(mu)
+    with pytest.raises(ValueError, match="base 2 given for a dump of base 3"):
+        load_measure(text, 2)
+
+
+def test_load_reads_v1_with_callers_base():
+    mu = random_measure(29, base=3, dim=2, level=2, cells=8)
+    head, body = dump_measure(mu).split("\n", 1)
+    v1 = head.replace("GRIDMEASURE v2 base=3", "GRIDMEASURE v1") + "\n" + body
+    assert v1.startswith("GRIDMEASURE v1 dim=2 ")
+    assert load_measure(v1, 3).equals(mu)
+    with pytest.raises(ValueError, match="no base"):
+        load_measure(v1)
 
 
 def test_load_rejects_unsorted_or_repeated_cells():
