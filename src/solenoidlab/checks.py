@@ -586,12 +586,11 @@ def atomlessness_probe(
     mode: str = "exhaustive",
     sample_count: int = 0,
     seed: int = 0,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> AtomlessnessTable:
     """Max projected cell mass per (base point, angle, level); rows shrink with level.
 
-    threads is accepted for compatibility and changes nothing (fiber
-    value blocks use every CPU of the process whatever it says).
+    threads caps the workers of each build (every CPU when None).
     """
     from .fiber import FiberMeasureSpec, build_fiber_measure, depth_for_resolution
     from .projection import project_measure
@@ -636,7 +635,7 @@ def boundary_mass_probe(
     mode: str = "exhaustive",
     sample_count: int = 0,
     seed: int = 0,
-    threads: int = 1,
+    threads: Optional[int] = None,
     mu=None,
 ) -> BoundaryMassTable:
     """Mass near the level-n grid lines, for each (n, delta2).
@@ -644,9 +643,8 @@ def boundary_mass_probe(
     The neighborhood has width delta2 * b^-n on each side of each line;
     it must be at least one cell of the working measure wide, otherwise
     the question outruns the resolution.  Pass mu to probe a prebuilt
-    measure instead of constructing one.  threads is accepted for
-    compatibility and changes nothing (fiber value blocks use every CPU
-    of the process whatever it says).
+    measure instead of constructing one.  threads caps the workers of
+    the build (every CPU when None).
     """
     from .fiber import FiberMeasureSpec, build_fiber_measure, depth_for_resolution
 

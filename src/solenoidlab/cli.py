@@ -1,8 +1,9 @@
 """Command-line orchestration: one subcommand per experiment.
 
 Flags beat config values, which beat defaults.  The thread count (flag,
-config or SOLENOID_THREADS) is still accepted and changes nothing: fiber
-value blocks are filled on every CPU of the process whatever it says.
+config or SOLENOID_THREADS) caps the workers that fill and bin fiber
+value tiles; unset, every CPU of the process works.  Outputs are the
+same bits on any thread count.
 Every output file starts with a comment header carrying the config hash
 and seed, and all randomness is derived from that single seed through
 named sub-streams, so rerunning any experiment cannot perturb another.
@@ -101,7 +102,7 @@ def _profile_alpha(profile) -> float:
     return profile.slope(window)
 
 
-def _run_attractor(cfg: RunConfig, out: Path, threads: int, seed: int):
+def _run_attractor(cfg: RunConfig, out: Path, threads: Optional[int], seed: int):
     o = cfg.options
     sub = stream_seed(seed, "attractor")
     pts = generate_attractor(
@@ -125,7 +126,7 @@ def _run_attractor(cfg: RunConfig, out: Path, threads: int, seed: int):
     return f"points={len(pts)} box_radius={R}", True
 
 
-def _run_dim_table(cfg: RunConfig, out: Path, threads: int, seed: int):
+def _run_dim_table(cfg: RunConfig, out: Path, threads: Optional[int], seed: int):
     o = cfg.options
     p0 = cfg.params
     rows = []
@@ -159,7 +160,7 @@ def _run_dim_table(cfg: RunConfig, out: Path, threads: int, seed: int):
     return f"rows={len(rows)} max_gap={worst:.4f}", True
 
 
-def _run_fiber_entropy(cfg: RunConfig, out: Path, threads: int, seed: int):
+def _run_fiber_entropy(cfg: RunConfig, out: Path, threads: Optional[int], seed: int):
     o = cfg.options
     spec = _fiber_spec(cfg, stream_seed(seed, "fiber-entropy"))
     mu = build_fiber_measure(spec, threads=threads)
@@ -174,7 +175,7 @@ def _run_fiber_entropy(cfg: RunConfig, out: Path, threads: int, seed: int):
     return f"alpha_hat={_profile_alpha(profile):.6f} cells={mu.ncells}", True
 
 
-def _run_porosity(cfg: RunConfig, out: Path, threads: int, seed: int):
+def _run_porosity(cfg: RunConfig, out: Path, threads: Optional[int], seed: int):
     o = cfg.options
     spec = _fiber_spec(cfg, stream_seed(seed, "porosity"))
     mu = build_fiber_measure(spec, threads=threads)
@@ -198,7 +199,7 @@ def _run_porosity(cfg: RunConfig, out: Path, threads: int, seed: int):
     ), True
 
 
-def _run_projection_sweep(cfg: RunConfig, out: Path, threads: int, seed: int):
+def _run_projection_sweep(cfg: RunConfig, out: Path, threads: Optional[int], seed: int):
     o = cfg.options
     xg = [(i + 0.5) / o["nx"] for i in range(o["nx"])]
     tg = [j / o["ntheta"] for j in range(o["ntheta"])]
@@ -225,7 +226,7 @@ def _run_projection_sweep(cfg: RunConfig, out: Path, threads: int, seed: int):
     return f"min={sweep.min_rate:.4f} spread={spread:.4f}", True
 
 
-def _run_conservation(cfg: RunConfig, out: Path, threads: int, seed: int):
+def _run_conservation(cfg: RunConfig, out: Path, threads: Optional[int], seed: int):
     o = cfg.options
     sub = SplitMix64(stream_seed(seed, "conservation"), "pairs")
     npairs = o["pairs"]
@@ -246,6 +247,7 @@ def _run_conservation(cfg: RunConfig, out: Path, threads: int, seed: int):
             mode=spec.mode,
             sample_count=spec.sample_count,
             seed=stream_seed(seed, f"conservation.{k}"),
+            threads=threads,
         )
         rows.append(ests[o["q"]])
         for q in qs:
@@ -267,7 +269,7 @@ def _run_conservation(cfg: RunConfig, out: Path, threads: int, seed: int):
     ), not fired
 
 
-def _run_condition_h(cfg: RunConfig, out: Path, threads: int, seed: int):
+def _run_condition_h(cfg: RunConfig, out: Path, threads: Optional[int], seed: int):
     o = cfg.options
     xg = [(i + 0.5) / 33 for i in range(33)]
     report = condition_h_probe(
@@ -292,7 +294,7 @@ def _run_condition_h(cfg: RunConfig, out: Path, threads: int, seed: int):
     return f"verdict={report.verdict!r} min_sup={report.min_sup:.6g}", True
 
 
-def _run_separation(cfg: RunConfig, out: Path, threads: int, seed: int):
+def _run_separation(cfg: RunConfig, out: Path, threads: Optional[int], seed: int):
     o = cfg.options
     suffix = word_from_str(o["suffix"]) if o["suffix"] else ()
     eps0 = cfg.params.gamma_abs ** (o["eps_exponent"] / 2.0)
@@ -311,7 +313,7 @@ def _run_separation(cfg: RunConfig, out: Path, threads: int, seed: int):
     return f"passing={len(cert.passing_levels)}/{len(cert.rows)} eps0={eps0:.6g}", True
 
 
-def _run_transversality(cfg: RunConfig, out: Path, threads: int, seed: int):
+def _run_transversality(cfg: RunConfig, out: Path, threads: Optional[int], seed: int):
     o = cfg.options
     witness = transversality_search(
         cfg.params,
@@ -329,7 +331,7 @@ def _run_transversality(cfg: RunConfig, out: Path, threads: int, seed: int):
     return f"t={witness.t} xi1={witness.xi1:.6g}", True
 
 
-def _run_rotation(cfg: RunConfig, out: Path, threads: int, seed: int):
+def _run_rotation(cfg: RunConfig, out: Path, threads: Optional[int], seed: int):
     o = cfg.options
     p = cfg.params
     orbit = rotation_orbit(p.delta, o["theta0"], o["orbit_length"], p.delta_fraction)
@@ -343,7 +345,7 @@ def _run_rotation(cfg: RunConfig, out: Path, threads: int, seed: int):
     ), True
 
 
-def _run_verify_suite(cfg: RunConfig, out: Path, threads: int, seed: int):
+def _run_verify_suite(cfg: RunConfig, out: Path, threads: Optional[int], seed: int):
     p = cfg.params
     checks: list[tuple[str, bool, str]] = []
     rng = SplitMix64(stream_seed(seed, "verify-suite"), "draws")
@@ -400,9 +402,9 @@ def _run_verify_suite(cfg: RunConfig, out: Path, threads: int, seed: int):
     )
     checks.append(("chain-rule", chain_gap < 1e-9, f"gap={chain_gap:.3e}"))
 
-    # the build ignores threads, so 1 and 2 give one table by construction;
-    # the line stays only to keep the layout of verify-suite files
-    checks.append(("thread-determinism", True, "threads 1 vs 2"))
+    one, two = (build_fiber_measure(spec, threads=t) for t in (1, 2))
+    same = one.equals(two) and one.boundary_ambiguous == two.boundary_ambiguous
+    checks.append(("thread-determinism", same, "threads 1 vs 2"))
 
     cloud = generate_attractor(
         p, 20000, seed=stream_seed(seed, "verify-suite.cloud"), mode="orbit"
@@ -443,7 +445,8 @@ RUNNERS: dict[str, Callable] = {
 }
 
 
-def _resolve_threads(cli_value: Optional[int], cfg: RunConfig) -> int:
+def _resolve_threads(cli_value: Optional[int], cfg: RunConfig) -> Optional[int]:
+    """Worker cap from flag, config or SOLENOID_THREADS; None (every CPU) if unset."""
     if cli_value:
         return max(1, cli_value)
     if cfg.thread_count:
@@ -454,7 +457,7 @@ def _resolve_threads(cli_value: Optional[int], cfg: RunConfig) -> int:
             return int(env)
     except ValueError:
         pass
-    return 1
+    return None
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -465,7 +468,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", type=Path, help="key = value configuration file")
     parser.add_argument("--seed", type=int, help="overrides the config seed")
-    parser.add_argument("--threads", type=int, help="accepted, changes nothing (SOLENOID_THREADS fallback)")
+    parser.add_argument(
+        "--threads", type=int,
+        help="worker cap for fiber builds (SOLENOID_THREADS fallback; default every CPU)",
+    )
     parser.add_argument("--out", type=Path, help="output directory (overrides config)")
     args = parser.parse_args(argv)
 

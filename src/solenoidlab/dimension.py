@@ -176,7 +176,7 @@ def fiber_dimension(
     mode: str = "exhaustive",
     sample_count: int = 0,
     seed: int = 0,
-    threads: int = 1,
+    threads: Optional[int] = None,
     trim: int = 2,
 ) -> FiberDimension:
     """Entropy-slope estimate of the fiber measure dimension at x.
@@ -184,8 +184,7 @@ def fiber_dimension(
     Fits H(m_x, L_l) against l after trimming the coarsest and finest
     levels and dropping any level whose occupied-cell count exceeds a
     tenth of the sample budget (where the empirical measure goes flat).
-    threads is accepted for compatibility and changes nothing (fiber
-    value blocks use every CPU of the process whatever it says).
+    threads caps the workers of the build (every CPU when None).
     """
     spec = FiberMeasureSpec(
         params, x, depth, resolution, mode=mode, sample_count=sample_count, seed=seed

@@ -14,24 +14,27 @@ which grows S_n = S_{n-1} + gamma^{n-1} phi(a_n) once per distinct
 prefix: an exhaustive block is a leaf range of the depth-N tree, a
 sampled block a range of strata grown as the tree, repeated by quota and
 continued by per-sample random suffix digits.  Each value block is filled
-in tiles of about 2^16 rows on every CPU the process may run on (the
-calling thread plus one thread per other CPU); tiles write disjoint
-slices and compute the same bits on any CPU count.  Blocks are binned in
-order on the calling thread, and their integer count tables merge by
-addition; the threads argument is accepted but changes nothing.
+in tiles of about 2^16 rows by the calling thread plus one thread per
+further worker (threads caps the workers; by default there is one per
+CPU the process may run on); tiles write disjoint slices and compute the
+same bits on any worker count.  The thread that filled a tile also bins
+it and reduces it to an integer count table, and the calling thread only
+merges those tables, by addition, so the measure is the same on any
+worker count too.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
-from .gridmeasure import GridMeasure, _RowSums, _bin_points
+from .gridmeasure import GridMeasure, _RowSums, _bin_points, _reduce_rows
 from .params import SystemParams
 from .rng import SplitMix64
 from .words import (
@@ -40,7 +43,7 @@ from .words import (
     _stratified_suffixes,
     enumerate_words,
     stratum_layout,
-    symbolic_sum,
+    word_address,
 )
 
 __all__ = [
@@ -150,64 +153,104 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fill_tiles(tiles: list, fill, helpers: int) -> None:
-    """Run fill(*tile) for every tile, on the calling thread and helpers new threads.
+class _Helpers:
+    """Up to count threads that take tiles beside the calling thread.
 
-    Tiles are taken in order from one shared list, so a block of one tile,
-    or helpers == 0, runs inline and starts no thread.  The first error
-    stops the hand-out of tiles and is raised here.
+    run() hands out the tiles of one block in order from one shared
+    counter.  A thread is started the first time a block has a tile for
+    it and kept until close(), so a stream of blocks starts its threads
+    once and each keeps one malloc arena (a new thread per block can
+    start before the last one has released its arena, and arenas then
+    pile up).  A block of one tile runs inline and starts none.  The
+    first error stops the hand-out of tiles and is raised by run().
     """
-    todo = iter(tiles)
-    lock = threading.Lock()
-    errors = []
 
-    def drain():
-        try:
-            while True:
+    def __init__(self, count: int):
+        self._count = count
+        self._jobs = queue.SimpleQueue()
+        self._done = threading.Semaphore(0)
+        self._threads: list = []
+
+    def _serve(self):
+        while (job := self._jobs.get()) is not None:
+            job()
+            self._done.release()
+
+    def run(self, count: int, fill) -> None:
+        """Run fill(i) for i in range(count), on the calling thread and the helpers."""
+        todo = iter(range(count))
+        lock = threading.Lock()
+        errors = []
+
+        def drain():
+            try:
+                while True:
+                    with lock:
+                        i = next(todo, None)
+                    if i is None:
+                        return
+                    fill(i)
+            except BaseException as exc:  # raised again on the calling thread
                 with lock:
-                    tile = next(todo, None)
-                if tile is None:
-                    return
-                fill(*tile)
-        except BaseException as exc:  # raised again on the calling thread
-            with lock:
-                errors.append(exc)
-                for _ in todo:
-                    pass
+                    errors.append(exc)
+                    for _ in todo:
+                        pass
 
-    n_threads = min(helpers, len(tiles) - 1)
-    threads = [threading.Thread(target=drain) for _ in range(n_threads)]
-    for t in threads:
-        t.start()
-    drain()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
+        n = min(self._count, count - 1)
+        while len(self._threads) < n:
+            t = threading.Thread(target=self._serve, daemon=True)
+            t.start()
+            self._threads.append(t)
+        for _ in range(n):
+            self._jobs.put(drain)
+        drain()
+        for _ in range(n):
+            self._done.acquire()
+        if errors:
+            raise errors[0]
+
+    def close(self) -> None:
+        for _ in self._threads:
+            self._jobs.put(None)
+        for t in self._threads:
+            t.join()
+        self._threads = []
 
 
 def fiber_value_chunks(
-    spec: FiberMeasureSpec, block_words: int = _BLOCK_TARGET
-) -> Iterator[np.ndarray]:
+    spec: FiberMeasureSpec,
+    block_words: int = _BLOCK_TARGET,
+    tile_map: Optional[Callable[[np.ndarray, int], object]] = None,
+    threads: Optional[int] = None,
+) -> Iterator:
     """Yield the branch-sum values of the spec's word list in fixed blocks.
 
     The block boundaries depend only on the spec, never on the consumer,
     so any accumulation over the chunks is replayable.  Each block is
     filled in tiles of about _TILE_ROWS rows, a tile being a leaf range of
     the depth-N tree (exhaustive) or a strata range (sampled).  Tiles run
-    on the calling thread and one more thread per other CPU of the
-    process; every node of the tree gets the same float operations in any
+    on the calling thread and on one more thread per other worker; there
+    are threads workers, or one per CPU of the process when threads is
+    None.  Every node of the tree gets the same float operations in any
     range it is grown in, and counter-mode draws do not depend on the
-    range, so the values are the same bits on any number of CPUs.
+    range, so the values are the same bits on any number of workers.
+
+    With a tile_map, the thread that filled a tile calls
+    tile_map(values, row0) on it at once, values being the tile's slice
+    of the block and row0 the index of its first row in the whole word
+    list, and each block yields the list of the results in tile order.
+    Without one, each block yields its values.
     """
     spec.validate()
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be positive, got {threads}")
     p = spec.params
     if spec.mode == "exhaustive":
         # one unit per word: the leaves of the depth-N tree
         units = count = p.b**spec.depth
         rows_per_unit = 1
 
-        def fill(a, c, out):
+        def sums(a, c, out):
             _branch_sums(p, spec.x, spec.depth, a, c, out=out)
 
     else:
@@ -217,7 +260,7 @@ def fiber_value_chunks(
         rows_per_unit = base_quota + 1
         stream = SplitMix64(spec.seed, "fiber.samples")
 
-        def fill(a, c, out):
+        def sums(a, c, out):
             _, quotas, suffix = _stratified_suffixes(
                 p.b, spec.depth, count, stream, a, c
             )
@@ -226,40 +269,55 @@ def fiber_value_chunks(
     # a block holds at most block_words rows, a tile about _TILE_ROWS
     per_block = max(1, block_words // rows_per_unit)
     per_tile = max(1, _TILE_ROWS * units // count)
-    helpers = _cpus() - 1
-    for lo in range(0, units, per_block):
-        hi = min(units, lo + per_block)
-        cuts = list(range(lo, hi, per_tile)) + [hi]
-        rows = _first_samples(count, units, cuts)
-        rows = (rows - rows[0]).tolist()
-        block = np.empty(rows[-1], dtype=np.complex128)
-        tiles = [
-            (a, c, block[r0:r1])
-            for a, c, r0, r1 in zip(cuts, cuts[1:], rows, rows[1:])
-        ]
-        _fill_tiles(tiles, fill, helpers)
-        yield block
+    cpus = _cpus()
+    helpers = _Helpers(min(threads or cpus, cpus) - 1)
+    try:
+        for lo in range(0, units, per_block):
+            hi = min(units, lo + per_block)
+            cuts = list(range(lo, hi, per_tile)) + [hi]
+            rows = _first_samples(count, units, cuts).tolist()
+            block = np.empty(rows[-1] - rows[0], dtype=np.complex128)
+            results = [None] * (len(cuts) - 1)
+
+            def fill(i):
+                values = block[rows[i] - rows[0] : rows[i + 1] - rows[0]]
+                sums(cuts[i], cuts[i + 1], values)
+                if tile_map is not None:
+                    results[i] = tile_map(values, rows[i])
+
+            helpers.run(len(results), fill)
+            yield block if tile_map is None else results
+    finally:
+        helpers.close()
 
 
-def build_fiber_measure(spec: FiberMeasureSpec, threads: int = 1) -> GridMeasure:
+def build_fiber_measure(
+    spec: FiberMeasureSpec, threads: Optional[int] = None
+) -> GridMeasure:
     """Materialize the fiber measure at spec.resolution.
 
     Integer counts per cell; total equals the word count of the spec.
-    threads is accepted for compatibility and changes nothing: value blocks
-    are filled on every CPU of the process (fiber_value_chunks) and binned
-    in order on the calling thread.
+    Each tile of values is binned and reduced on the thread that filled
+    it, with threads workers (every CPU of the process when None); the
+    calling thread merges the integer tables, so the result is the same
+    on any number of workers.  The measure carries spec as its provenance.
     """
     spec.validate()
-    p = spec.params
+    b, level = spec.params.b, spec.resolution
+
+    def bin_tile(values, row0):
+        rows, near = _bin_points(values, b, level)
+        return _reduce_rows(rows), near
+
     sums = _RowSums()
     flagged = 0
-    for values in fiber_value_chunks(spec):
-        rows, near = _bin_points(values, p.b, spec.resolution)
-        sums.add(rows)
-        flagged += near
+    for parts in fiber_value_chunks(spec, tile_map=bin_tile, threads=threads):
+        for part, near in parts:
+            sums.add_part(*part)
+            flagged += near
     idx, cnt = sums.table()
     return GridMeasure(
-        p.b, 2, spec.resolution, idx, cnt, p.box_radius(), flagged
+        b, 2, level, idx, cnt, spec.params.box_radius(), flagged, provenance=spec
     )
 
 
@@ -270,42 +328,53 @@ def refine_fiber_measure(
     children: Mapping[tuple, GridMeasure],
     level: int,
 ) -> GridMeasure:
-    """Superpose the affine branch images of per-word child measures.
+    """Superpose the affine branch images of per-word child measures, exactly.
 
-    Child for word j is mapped by y -> gamma^k y + S(x, j) (k = n_words)
-    and rebinned at the requested coarser level.  All children must share
-    one level and one total so the superposition stays equal-weight;
-    integer weights add exactly.
+    The child for word w (k = n_words letters) must be an exhaustive build
+    at the branch point word_address(params, x, w), all children at one
+    depth N.  Its image under y -> gamma^k y + S(x, w) is then, by the
+    cocycle S(x, w + i) = S(x, w) + gamma^k S(w(x), i), the set of
+    depth-(k+N) sums at x over the leaf range [idx(w) b^N, (idx(w)+1) b^N),
+    idx(w) being w's lexicographic index, and those ranges tile the tree.
+    So the cells are those of the direct depth-(k+N) build at x, which is
+    what this returns, with the children's boundary tallies added to its
+    own.  The children's cells are not read, only their placement: a
+    binned child cannot be pushed forward exactly, since a cell center
+    lies up to |gamma|^k half a cell diagonal from its points, across
+    target-cell edges.  The direct build enforces the word budget on k+N.
     """
     if n_words < 1:
         raise ValueError("n_words must be positive")
     want = enumerate_words(params.b, n_words)
-    child_levels = set()
-    child_totals = set()
     for w in want:
         if w not in children:
             raise ValueError(f"missing child word {w}")
-        child_levels.add(children[w].level)
-        child_totals.add(children[w].total)
-    if len(child_levels) != 1:
-        raise ValueError("children must share a common level")
-    if len(child_totals) != 1:
-        raise ValueError("children must share a common total for equal weighting")
-    child_level = child_levels.pop()
-    if level > child_level:
-        raise ValueError(
-            f"target level {level} finer than child level {child_level}"
-        )
-    gk = params.gamma**n_words
-    sums = _RowSums()
-    flagged = 0
+    depths = set()
     for w in want:
-        shift = symbolic_sum(params, x, w)
         child = children[w]
-        centers = child.centers()
-        pts = gk * (centers[:, 0] + 1j * centers[:, 1]) + shift
-        rows, near = _bin_points(pts, params.b, level)
-        sums.add(rows, child.weights)
-        flagged += near + child.boundary_ambiguous
-    idx, cnt = sums.table()
-    return GridMeasure(params.b, 2, level, idx, cnt, params.box_radius(), flagged)
+        src = child.provenance
+        if (
+            src is None
+            or src.mode != "exhaustive"
+            or src.params != params
+            or src.x != word_address(params, x, w)
+        ):
+            raise ValueError(
+                f"child {w} is not an exhaustive fiber build at its branch point"
+            )
+        if level > child.level:
+            raise ValueError(
+                f"target level {level} finer than child level {child.level}"
+            )
+        depths.add(src.depth)
+    if len(depths) != 1:
+        raise ValueError("children must share one depth")
+    direct = build_fiber_measure(
+        FiberMeasureSpec(params, x, n_words + depths.pop(), level)
+    )
+    flagged = direct.boundary_ambiguous + sum(
+        children[w].boundary_ambiguous for w in want
+    )
+    return GridMeasure(
+        params.b, 2, level, direct.idx, direct.weights, params.box_radius(), flagged
+    )

@@ -22,14 +22,15 @@ the observed ranges, so key order is row-lexicographic order.  It counts
 equal keys with bincount when the key range is small next to the row
 count and sorts otherwise; weights stay exact int64 on both paths.
 Only rows whose key range does not fit in int64 fall back to a lexsort.
-_RowSums applies _reduce_rows to rows that arrive in chunks.
+_RowSums applies _reduce_rows to rows that arrive in chunks, or takes
+chunks already reduced on other threads, and merges them by addition.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -59,6 +60,8 @@ _DENSE_SLOTS_PER_ROW = 8
 # a float64 bincount adds integer weights exactly below this total
 _FLOAT_EXACT = 2.0**52
 _INT64_MAX = np.iinfo(np.int64).max
+# _RowSums merges its parts once they hold at least this many rows
+_MERGE_ROWS = 1 << 20
 
 
 def _scaled_rows(coords: np.ndarray, base: int, level: int) -> np.ndarray:
@@ -103,12 +106,15 @@ def _key_range(rows: np.ndarray) -> tuple[list[int], list[int]]:
     return lo, [int(col.max()) - l + 1 for col, l in zip(rows.T, lo)]
 
 
-def _row_keys(rows: np.ndarray, lo: list[int], spans: list[int]) -> np.ndarray:
+def _row_keys(
+    rows: np.ndarray, lo: list[int], spans: list[int], out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """One int64 key per row, ordered as the rows are lexicographically.
 
-    The product of spans must fit in int64.
+    The product of spans must fit in int64.  out, an int64 array of one
+    entry per row, receives the keys if given.
     """
-    keys = rows[:, 0] - lo[0]
+    keys = np.subtract(rows[:, 0], lo[0], out=out)
     for j in range(1, rows.shape[1]):
         keys *= spans[j]
         keys += rows[:, j]
@@ -189,20 +195,34 @@ def _reduce_rows(
 class _RowSums:
     """_reduce_rows over rows that arrive in chunks.
 
-    Each chunk is reduced when added; the parts are merged once, by table().
+    add reduces a chunk; add_part takes a chunk that was already reduced,
+    on the thread that made it.  The parts are merged whenever the rows
+    added since the last merge outnumber both the merged table and
+    _MERGE_ROWS, so the unmerged rows stay below the larger of the two,
+    and once more by table().  Weights are integers, so the merge order
+    cannot change the result.
     """
 
     def __init__(self):
         self._parts: list[tuple[np.ndarray, np.ndarray]] = []
+        self._unmerged = 0
 
     def add(self, rows: np.ndarray, w: Optional[np.ndarray] = None) -> None:
-        self._parts.append(_reduce_rows(rows, w))
+        self.add_part(*_reduce_rows(rows, w))
+
+    def add_part(self, rows: np.ndarray, w: np.ndarray) -> None:
+        """Add distinct sorted rows and their weight sums, as _reduce_rows gives them."""
+        self._parts.append((rows, w))
+        self._unmerged += len(w)
+        if self._unmerged > max(len(self._parts[0][1]), _MERGE_ROWS):
+            self.table()
 
     def table(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct rows of all chunks so far, sorted, with their weight sums."""
         if len(self._parts) > 1:
             rows, w = zip(*self._parts)
             self._parts = [_reduce_rows(np.concatenate(rows), np.concatenate(w))]
+        self._unmerged = 0
         return self._parts[0]
 
 
@@ -212,7 +232,9 @@ class GridMeasure:
 
     idx has shape (m, dim) and its rows strictly increase in lexicographic
     order (sorted, no repeats); weights are positive int64.  box_radius R
-    certifies all cells lie in [-R, R]^dim.
+    certifies all cells lie in [-R, R]^dim.  provenance is the
+    FiberMeasureSpec of a fiber build, and None for every other measure;
+    it is not dumped, and derived measures do not inherit it.
     """
 
     base: int
@@ -222,6 +244,7 @@ class GridMeasure:
     weights: np.ndarray
     box_radius: int
     boundary_ambiguous: int = 0
+    provenance: Optional[object] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.dim not in (1, 2):

@@ -11,24 +11,25 @@ projected rate plus the strip-conditional rate.  It streams the raw
 branch sums instead of going through a binned planar table, because the
 planar table at deep levels can be enormous while the three statistics
 only need sorted-key passes.  The planar rate sorts one int64 key per
-word in place; the projected and strip tables are reduced chunk by
-chunk through the grid module's row reduce, which picks bincount or
-sort from the sizes it sees, so there is no separate dense or sparse
-mode here.  The estimator keeps no boundary tally.
+word in place; the projected and strip tables are reduced tile by tile,
+on the threads that fill the tiles, through the grid module's row
+reduce, which picks bincount or sort from the sizes it sees, so there is
+no separate dense or sparse mode here.  The estimator keeps no boundary
+tally.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .entropy import _run_entropies, entropy
 from .fiber import FiberMeasureSpec, build_fiber_measure, fiber_value_chunks
 from .gridmeasure import (
-    GridMeasure, _cell_rows, _row_keys, _RowSums, measure_from_points
+    GridMeasure, _cell_rows, _reduce_rows, _row_keys, _RowSums, measure_from_points
 )
 from .params import SystemParams
 
@@ -108,14 +109,13 @@ def projection_entropy_sweep(
     mode: str = "exhaustive",
     sample_count: int = 0,
     seed: int = 0,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> SweepResult:
     """Matrix of (1/n) H(pi_theta m_x, L_n) over a base-point/angle grid.
 
     Each fiber measure is built once per base point and projected at
     every angle; the projected-dimension estimate is the grid minimum.
-    threads is accepted for compatibility and changes nothing (fiber
-    value blocks use every CPU of the process whatever it says).
+    threads caps the workers of each build (every CPU when None).
     """
     xs = [float(x) for x in x_grid]
     thetas = [float(t) for t in theta_grid]
@@ -203,7 +203,7 @@ class ConservationEstimate:
         return not (self.alpha >= self.beta + 1.0 + 0.1 and self.alpha < 2.0 - 0.1)
 
 
-def _sorted_key_entropy(keys: np.ndarray, base: int, chunk: int = 1 << 24) -> float:
+def _sorted_key_entropy(keys: np.ndarray, base: int, chunk: int = 1 << 20) -> float:
     """Base-b entropy of the multiset of keys; sorts the array IN PLACE.
 
     Run-length accumulation is chunked so the peak memory stays near the
@@ -248,6 +248,7 @@ def conservation_estimates(
     mode: str = "exhaustive",
     sample_count: int = 0,
     seed: int = 0,
+    threads: Optional[int] = None,
 ) -> dict[int, ConservationEstimate]:
     """Conservation rates at one (x, theta) for every strip level in q_list.
 
@@ -255,7 +256,11 @@ def conservation_estimates(
     upsilon(q) the strip-mass-weighted mean of (1/(n-q)) H(conditional,
     L_{n-q}) over level-q strips.  Works directly on the streamed branch
     sums, so deep levels never materialize a planar table, and all q
-    values share the single pass.
+    values share the single pass.  The thread that filled a tile of sums
+    (fiber_value_chunks, threads workers, every CPU when None) writes its
+    planar keys and reduces its projected and strip rows; the calling
+    thread merges those integer tables and sorts the keys, so the rates
+    are the same bits on any number of workers.
     """
     qs = sorted(set(int(q) for q in q_list))
     if not qs:
@@ -275,28 +280,35 @@ def conservation_estimates(
 
     total = spec.total_words
     planar_keys = np.empty(total, dtype=np.int64)
-    # projected and strip cell counts, reduced chunk by chunk so memory
-    # follows occupied cells, not words
-    beta_sums = _RowSums()
-    strip_sums = {q: _RowSums() for q in qs}
-    pos = 0
-    for values in fiber_value_chunks(spec, block_words=1 << 21):
+    lo, spans = [-edge, -edge], [span, span]
+
+    def reduce_tile(values, row0):
+        # on the tile's thread: the planar keys go into the tile's own
+        # slice of planar_keys, and the projected and strip cell counts are
+        # reduced here, so memory follows occupied cells, not words
         m = len(values)
-        cells = _cell_rows(values, b, n)
-        planar_keys[pos : pos + m] = _row_keys(cells, [-edge, -edge], [span, span])
-        pos += m
-        del cells
+        _row_keys(_cell_rows(values, b, n), lo, spans, out=planar_keys[row0 : row0 + m])
         planar = values.view(np.float64).reshape(m, 2)
         t = _line_coordinate(planar, theta)
         u = _line_coordinate(planar, theta + 0.25)
-        beta_sums.add(_cell_rows(t, b, n))
-        for q in qs:
-            strip = _cell_rows(t, b, q)
-            along = _cell_rows(u, b, n - q)
-            strip_sums[q].add(np.hstack((strip, along)))
-    if pos != total:
-        raise RuntimeError("stream length mismatch")
+        strips = {
+            q: _reduce_rows(np.hstack((_cell_rows(t, b, q), _cell_rows(u, b, n - q))))
+            for q in qs
+        }
+        return _reduce_rows(_cell_rows(t, b, n)), strips
+
+    beta_sums = _RowSums()
+    strip_sums = {q: _RowSums() for q in qs}
+    for parts in fiber_value_chunks(
+        spec, block_words=1 << 21, tile_map=reduce_tile, threads=threads
+    ):
+        for beta_part, strip_parts in parts:
+            beta_sums.add_part(*beta_part)
+            for q, part in strip_parts.items():
+                strip_sums[q].add_part(*part)
     beta_w = beta_sums.table()[1]
+    if int(beta_w.sum()) != total:
+        raise RuntimeError("stream length mismatch")
     strip_tables = {q: sums.table() for q, sums in strip_sums.items()}
     del beta_sums, strip_sums
 
@@ -329,8 +341,10 @@ def conservation_estimate(
     mode: str = "exhaustive",
     sample_count: int = 0,
     seed: int = 0,
+    threads: Optional[int] = None,
 ) -> ConservationEstimate:
     """Single-q convenience wrapper around conservation_estimates."""
     return conservation_estimates(
-        params, x, theta, n, [q], depth, mode=mode, sample_count=sample_count, seed=seed
+        params, x, theta, n, [q], depth, mode=mode, sample_count=sample_count,
+        seed=seed, threads=threads,
     )[q]

@@ -98,16 +98,15 @@ def rotation_orbit(
 
 
 def projection_entropy_observable(
-    params: SystemParams, ell: int, threads: int = 1
+    params: SystemParams, ell: int, threads: Optional[int] = None
 ) -> tuple[Callable[[float], float], int]:
     """The scale-ell projected-entropy observable and its working level.
 
     f(theta) averages, over all words w at the converted level, the
     normalized entropy of the angle-theta projection of the fiber
     measure based at the branch point w(0).  The fiber measures are
-    built once and captured in the closure.  threads is accepted for
-    compatibility and changes nothing (fiber value blocks use every CPU
-    of the process whatever it says).
+    built once and captured in the closure.  threads caps the workers of
+    each build (every CPU when None).
     """
     lt = scale_tilde(params, ell)
     if lt < 1:
@@ -158,7 +157,7 @@ def birkhoff_average(
     k_max: int,
     observable: Optional[Callable[[float], float]] = None,
     quad_points: int = 256,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> BirkhoffReport:
     """Partial averages of the observable along the ell*delta orbit vs its integral.
 
@@ -166,8 +165,7 @@ def birkhoff_average(
     an ell-block average, so the matching shift advances ell steps at a
     time).  The integral is a midpoint rule on quad_points angles; each
     report row carries the running average and its gap to the integral.
-    threads is accepted for compatibility and changes nothing (fiber
-    value blocks use every CPU of the process whatever it says).
+    threads caps the workers of each fiber build (every CPU when None).
     """
     if k_max < 1:
         raise ValueError("need k_max >= 1")

@@ -274,16 +274,28 @@ def test_reduce_rows_key_range_beyond_int64():
     assert got_w.tolist() == [2, 4, 4]
 
 
-@given(st.integers(0, 10**6), st.integers(1, 2), st.integers(1, 6), st.booleans())
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 2),
+    st.integers(1, 6),
+    st.booleans(),
+    st.integers(1, 400),
+)
 @settings(max_examples=60, deadline=None)
-def test_row_sums_over_chunks_match_one_reduce(seed, ncols, nchunks, unit):
+def test_row_sums_over_chunks_match_one_reduce(seed, ncols, nchunks, unit, merge_rows):
+    # merges on the way, whenever the parts outgrow merge_rows and the
+    # merged table, leave the same table
     rng = np.random.default_rng(seed)
     sizes = rng.integers(1, 200, size=nchunks)
     chunks = [rng.integers(-9, 9, size=(int(m), ncols)) for m in sizes]
     weights = [None if unit else rng.integers(1, 2**30, size=m) for m in sizes]
     sums = _RowSums()
-    for rows, w in zip(chunks, weights):
-        sums.add(rows, w)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gridmeasure, "_MERGE_ROWS", merge_rows)
+        for rows, w in zip(chunks, weights):
+            sums.add(rows, w)
+            held = sum(len(part[1]) for part in sums._parts[1:])
+            assert held <= max(len(sums._parts[0][1]), merge_rows)
     all_w = None if unit else np.concatenate(weights)
     want = _reduce_rows(np.concatenate(chunks), all_w)
     for got in (sums.table(), sums.table()):

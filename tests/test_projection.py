@@ -8,14 +8,19 @@ half-cell tolerance.
 """
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from solenoidlab import fiber, projection
 from solenoidlab.entropy import entropy
-from solenoidlab.fiber import FiberMeasureSpec, build_fiber_measure
+from solenoidlab.fiber import FiberMeasureSpec, build_fiber_measure, certified_level
 from solenoidlab.gridmeasure import GridMeasure, measure_from_cells
 from solenoidlab.params import SystemParams, TrigPoly
 from solenoidlab import gridmeasure
@@ -329,6 +334,80 @@ def test_sparse_fallback_matches_dense_tables(monkeypatch):
         assert sparse[q].beta == dense[q].beta
         assert sparse[q].upsilon == dense[q].upsilon
         assert sparse[q].strip_table == dense[q].strip_table
+
+
+@given(
+    b=st.integers(2, 4),
+    depth=st.integers(3, 7),
+    count=st.integers(1, 400),
+    sampled=st.booleans(),
+    tile_rows=st.integers(1, 9),
+    cpus=st.integers(1, 3),
+)
+@settings(max_examples=40, deadline=None)
+def test_tile_map_matches_one_reduction_of_all_values(
+    b, depth, count, sampled, tile_rows, cpus
+):
+    # the per-tile keys, strip rows and reductions give the bits of one
+    # reduction over the concatenated unmapped values
+    while b**depth > 600:
+        depth -= 1
+    p = SystemParams(b, 0.5, 0.3, TrigPoly(0.1, (1.0, 0.4), (0.2,)))
+    n = min(4, certified_level(p, depth))
+    assume(n >= 2)
+    kw = dict(mode="sampled", sample_count=count, seed=3) if sampled else {}
+    args = (p, 0.37, 0.19, n, range(1, n), depth)
+
+    def one_tile(spec, block_words, tile_map, threads):
+        yield [tile_map(np.concatenate(list(fiber.fiber_value_chunks(spec))), 0)]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projection, "fiber_value_chunks", one_tile)
+        whole = conservation_estimates(*args, **kw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fiber, "_TILE_ROWS", tile_rows)
+        mp.setattr(fiber, "_cpus", lambda: cpus)
+        tiled = conservation_estimates(*args, **kw)
+    for q in range(1, n):
+        assert tiled[q].alpha == whole[q].alpha
+        assert tiled[q].beta == whole[q].beta
+        assert tiled[q].upsilon == whole[q].upsilon
+        assert tiled[q].strip_table == whole[q].strip_table
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+def test_conservation_memory_follows_the_keys():
+    # one op at 3^15 sampled words in a fresh process on at most two CPUs:
+    # peak resident memory at most 8 bytes per word (the planar keys) plus
+    # 150 MB.  Every tile worker holds its own temporaries, so the peak
+    # grows with the worker count, and the child pins two CPUs to make the
+    # bound the same on any host.  The child reads its own high-water mark,
+    # VmHWM: its ru_maxrss would also count the peak of this process, whose
+    # memory it starts from before exec.
+    words = 3**15
+    code = textwrap.dedent(
+        f"""
+        import math
+        import os
+        os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+        from solenoidlab.params import SystemParams, TrigPoly
+        from solenoidlab.projection import conservation_estimates
+        p = SystemParams(3, 0.55, math.sqrt(2) - 1, TrigPoly(0.0, (1.0,), ()))
+        conservation_estimates(
+            p, 0.3177, 0.0816, 10, (4, 5, 6), 20,
+            mode="sampled", sample_count={words}, seed=600,
+        )
+        with open("/proc/self/status") as f:
+            print(next(ln.split()[1] for ln in f if ln.startswith("VmHWM:")))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(projection.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    peak = int(done.stdout.split()[-1]) * 1024  # VmHWM is in kB
+    assert peak <= 8 * words + 150e6, f"peak {peak / 1e6:.0f} MB"
 
 
 def test_strip_masses_sum_to_one():
