@@ -2,9 +2,12 @@
 
 All entropies are Shannon entropies of cell masses in base b, the grid
 base, so one unit of entropy corresponds to one grid level and
-normalized entropies read directly as dimensions.  Summation always runs
-over the canonical sorted cell order, which keeps every reported float
-bit-stable across reruns and worker counts.
+normalized entropies read directly as dimensions.  One function computes
+every entropy of a weight table, from the integer histogram {c: m_c} of
+its cell weights (m_c cells of weight c): H = sum_c m_c (c/W) log_b(W/c)
+over increasing c, W the total weight.  The histogram is exact, so it
+comes out the same however the table was split, merged or reduced, and
+so does every bit of H.
 
 Components: for a level-i cell Q with positive mass, the component of mu
 at Q is the restriction mu|Q and the rescaled component is its image
@@ -21,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .gridmeasure import GridMeasure, _reduce_rows, _row_order, convolve
+from .gridmeasure import GridMeasure, _reduce_rows, convolve
 
 __all__ = [
     "entropy",
@@ -43,13 +46,6 @@ __all__ = [
 ]
 
 
-def _plogp(p: np.ndarray, base: int) -> np.ndarray:
-    out = np.zeros_like(p)
-    pos = p > 0
-    out[pos] = -p[pos] * np.log(p[pos])
-    return out / math.log(base)
-
-
 def binary_entropy(t: float, base: int) -> float:
     """-t log_b t - (1-t) log_b (1-t)."""
     out = 0.0
@@ -59,41 +55,51 @@ def binary_entropy(t: float, base: int) -> float:
     return out / math.log(base)
 
 
+def _histogram_entropies(
+    rows: np.ndarray, counts: np.ndarray, base: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start row, total weight W and base-b entropy of each group of a histogram.
+
+    rows, counts is a _reduce_rows table of (group..., c) rows: m_c = counts
+    cells of weight c, with c increasing inside each group of equal
+    leading columns (a one-column table is one group).  Each term is
+    m_c c log(W/c); W/c >= 1 in floats too, so no term is negative and a
+    point mass gives exactly 0.0.
+    """
+    c = rows[:, -1]
+    starts = np.flatnonzero(
+        np.concatenate(([True], np.any(rows[1:, :-1] != rows[:-1, :-1], axis=1)))
+    )
+    mass = counts * c
+    totals = np.add.reduceat(mass, starts)
+    ratio = np.repeat(totals, np.diff(starts, append=len(c))) / c
+    h = np.add.reduceat(mass * np.log(ratio), starts) / totals / math.log(base)
+    return starts, totals, h
+
+
+def _weights_entropy(w: np.ndarray, base: int) -> float:
+    """Base-b entropy of the cell weights w, in any order."""
+    return float(_histogram_entropies(*_reduce_rows(w[:, None]), base)[2][0])
+
+
 def entropy(mu: GridMeasure, n: Optional[int] = None) -> float:
     """Level-n entropy of mu in base b.  n defaults to the stored level."""
     if n is None:
         n = mu.level
-    coarse = mu.coarsen(n)
-    return float(_plogp(coarse.probabilities(), mu.base).sum())
-
-
-def _run_entropies(
-    rows: np.ndarray, w: np.ndarray, base: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Start, total weight and base-b entropy of each run of equal rows."""
-    starts = np.flatnonzero(
-        np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))
-    )
-    run_w = np.add.reduceat(w, starts)
-    rel = w / np.repeat(run_w, np.diff(starts, append=len(w)))
-    return starts, run_w, np.add.reduceat(_plogp(rel, base), starts)
+    return _weights_entropy(mu.coarsen(n).weights, mu.base)
 
 
 def _group_entropies(
-    mu: GridMeasure, parent_level: int
+    groups: np.ndarray, w: np.ndarray, base: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-parent-cell weight and internal entropy at the stored level.
+    """Total weight and base-b entropy of the cells in each group.
 
-    Returns (parent rows, group weights, group entropies), parents sorted
-    lexicographically.
+    groups holds one int64 row per cell of weights w.  Returns (group
+    rows, group weights, group entropies), groups sorted lexicographically.
     """
-    factor = mu.base ** (mu.level - parent_level)
-    parent = np.floor_divide(mu.idx, factor)
-    # stable, so cells inside one parent keep their sorted order
-    order = _row_order(parent)
-    parent = parent[order]
-    starts, group_w, group_h = _run_entropies(parent, mu.weights[order], mu.base)
-    return parent[starts], group_w, group_h
+    rows, counts = _reduce_rows(np.column_stack((groups, w)))
+    starts, group_w, group_h = _histogram_entropies(rows, counts, base)
+    return rows[starts, :-1], group_w, group_h
 
 
 def conditional_entropy(mu: GridMeasure, fine: int, coarse: int) -> float:
@@ -107,7 +113,8 @@ def conditional_entropy(mu: GridMeasure, fine: int, coarse: int) -> float:
         raise ValueError(f"fine level {fine} must be >= coarse level {coarse}")
     refined = mu.coarsen(fine)
     by_difference = entropy(refined, fine) - entropy(refined, coarse)
-    _, group_w, group_h = _group_entropies(refined, coarse)
+    parent = np.floor_divide(refined.idx, refined.base ** (fine - coarse))
+    _, group_w, group_h = _group_entropies(parent, refined.weights, refined.base)
     by_components = float((group_w / refined.total * group_h).sum())
     if abs(by_difference - by_components) > 1e-9:
         raise RuntimeError(
@@ -201,7 +208,8 @@ def component_entropy_distribution(
     total = mu.total
     for i in levels:
         fine = mu.coarsen(i + m)
-        parents, group_w, group_h = _group_entropies(fine, i)
+        parent = np.floor_divide(fine.idx, mu.base**m)
+        parents, group_w, group_h = _group_entropies(parent, fine.weights, mu.base)
         for p, w, h in zip(parents, group_w, group_h):
             rows.append((i, tuple(int(v) for v in p), float(h) / m, int(w) / total))
     return ComponentSweep(m, levels, rows)

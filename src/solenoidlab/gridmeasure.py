@@ -133,14 +133,6 @@ def _key_rows(keys: np.ndarray, lo: list[int], spans: list[int]) -> np.ndarray:
     return rows
 
 
-def _row_order(rows: np.ndarray) -> np.ndarray:
-    """Stable permutation that sorts non-empty rows lexicographically."""
-    lo, spans = _key_range(rows)
-    if math.prod(spans) > _INT64_MAX:
-        return np.lexsort(rows.T[::-1])
-    return np.argsort(_row_keys(rows, lo, spans), kind="stable")
-
-
 def _box_radius(idx: np.ndarray, base: int, level: int) -> int:
     """Smallest integer R >= 1 with every level-n cell of idx inside [-R, R]^d."""
     return max(1, int(np.ceil((np.abs(idx).max() + 1) / base**level)))
@@ -160,7 +152,7 @@ def _reduce_rows(
     lo, spans = _key_range(rows)
     size = math.prod(spans)
     if size > _INT64_MAX:
-        order = _row_order(rows)
+        order = np.lexsort(rows.T[::-1])
         rows = rows[order]
         w = np.ones(len(rows), dtype=np.int64) if w is None else w[order]
         starts = np.flatnonzero(

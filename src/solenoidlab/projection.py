@@ -10,12 +10,15 @@ The conservation estimator compares a planar entropy rate against the
 projected rate plus the strip-conditional rate.  It streams the raw
 branch sums instead of going through a binned planar table, because the
 planar table at deep levels can be enormous while the three statistics
-only need sorted-key passes.  The planar rate sorts one int64 key per
-word in place; the projected and strip tables are reduced tile by tile,
+only need integer histograms of cell weights.  The planar rate sorts one
+int64 key per word in place and counts the run lengths of equal keys
+chunk by chunk; the projected and strip tables are reduced tile by tile,
 on the threads that fill the tiles, through the grid module's row
 reduce, which picks bincount or sort from the sizes it sees, so there is
-no separate dense or sparse mode here.  The estimator keeps no boundary
-tally.
+no separate dense or sparse mode here.  All three rates then go through
+the entropy module's one histogram entropy, so their bits do not depend
+on how the words were split into tiles, blocks or chunks.  The estimator
+keeps no boundary tally.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .entropy import _run_entropies, entropy
+from .entropy import _group_entropies, _histogram_entropies, _weights_entropy, entropy
 from .fiber import FiberMeasureSpec, build_fiber_measure, fiber_value_chunks
 from .gridmeasure import (
     GridMeasure, _cell_rows, _reduce_rows, _row_keys, _RowSums, measure_from_points
@@ -206,36 +209,25 @@ class ConservationEstimate:
 def _sorted_key_entropy(keys: np.ndarray, base: int, chunk: int = 1 << 20) -> float:
     """Base-b entropy of the multiset of keys; sorts the array IN PLACE.
 
-    Run-length accumulation is chunked so the peak memory stays near the
-    key array itself even when almost all keys are distinct.
+    The run lengths of the sorted keys are counted chunk by chunk into one
+    integer histogram (lengths, multiplicities), carrying only the start
+    of the run still open at a chunk's end, so no temporary grows with the
+    number of keys and every chunk size gives the same histogram and bits.
     """
     n = len(keys)
     if n == 0:
         raise ValueError("empty key set")
     keys.sort()
-    sum_clogc = 0.0
-    carry_len = 0
+    lengths = _RowSums()
+    run_start = 0
     for lo in range(0, n, chunk):
-        seg = keys[lo : lo + chunk]
-        changes = np.flatnonzero(seg[1:] != seg[:-1]) + 1
-        if lo > 0 and keys[lo - 1] != seg[0] and carry_len:
-            sum_clogc += carry_len * math.log(carry_len)
-            carry_len = 0
-        if len(changes) == 0:
-            carry_len += len(seg)
-            continue
-        first = int(changes[0])
-        runs = np.diff(changes)
-        tail = len(seg) - int(changes[-1])
-        c0 = carry_len + first
-        sum_clogc += c0 * math.log(c0)
-        if len(runs):
-            runs = runs.astype(np.float64)
-            sum_clogc += float(np.sum(runs * np.log(runs)))
-        carry_len = tail
-    if carry_len:
-        sum_clogc += carry_len * math.log(carry_len)
-    return (math.log(n) - sum_clogc / n) / math.log(base)
+        # the key before the chunk shows whether a run starts at lo
+        seg = keys[max(lo - 1, 0) : lo + chunk]
+        bounds = np.append(run_start, np.flatnonzero(seg[1:] != seg[:-1]) + max(lo, 1))
+        lengths.add(np.diff(bounds)[:, None])
+        run_start = int(bounds[-1])
+    lengths.add(np.array([[n - run_start]]))
+    return float(_histogram_entropies(*lengths.table(), base)[2][0])
 
 
 def conservation_estimates(
@@ -315,16 +307,15 @@ def conservation_estimates(
     alpha = _sorted_key_entropy(planar_keys, b) / n
     del planar_keys
 
-    p = beta_w / total
-    beta = float(np.sum(-p * np.log(p)) / math.log(b)) / n
+    beta = _weights_entropy(beta_w, b) / n
 
     out = {}
     for q in qs:
         rows, sw = strip_tables[q]
-        starts, strip_w, strip_h = _run_entropies(rows[:, :1], sw, b)
+        strips, strip_w, strip_h = _group_entropies(rows[:, :1], sw, b)
         table = [
-            (int(rows[i, 0]), int(wt) / total, float(h) / (n - q))
-            for i, wt, h in zip(starts, strip_w, strip_h)
+            (int(j), int(wt) / total, float(h) / (n - q))
+            for j, wt, h in zip(strips[:, 0], strip_w, strip_h)
         ]
         upsilon = sum(mass * rate for (_, mass, rate) in table)
         out[q] = ConservationEstimate(x, theta, n, q, alpha, beta, upsilon, table)

@@ -88,9 +88,15 @@ def word_value(word: Sequence[int], b: int) -> int:
 
 
 def word_address(params: SystemParams, x: float, word: Sequence[int]) -> float:
-    """Branch point w(x) = (x + word_value) / b^m.  Lands in [0, 1) for x in [0, 1)."""
+    """Branch point w(x) = (x + v) / b^m, v = word_value, for x in [0, 1).
+
+    It lies in branch_interval(b, word).  Within an ulp or so of x = 1 the
+    float quotient can round up to the interval's right end (v + 1) / b^m;
+    it is then clamped to the last float below that end.
+    """
     w = check_word(word, params.b)
-    return (x + word_value(w, params.b)) / params.b ** len(w)
+    v, scale = word_value(w, params.b), params.b ** len(w)
+    return min((x + v) / scale, math.nextafter((v + 1) / scale, 0.0))
 
 
 def branch_interval(b: int, word: Sequence[int]) -> tuple[float, float]:

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from solenoidlab.entropy import (
     EntropyProfile,
+    _group_entropies,
+    _histogram_entropies,
+    _weights_entropy,
     binary_entropy,
     component_entropy_distribution,
     conditional_entropy,
@@ -20,7 +23,13 @@ from solenoidlab.entropy import (
     porosity_check,
     saturation_scan,
 )
-from solenoidlab.gridmeasure import convolve, measure_from_cells, measure_from_points
+from solenoidlab.gridmeasure import (
+    _reduce_rows,
+    _RowSums,
+    convolve,
+    measure_from_cells,
+    measure_from_points,
+)
 from solenoidlab.rng import SplitMix64
 
 
@@ -50,6 +59,64 @@ def test_point_mass_entropy_zero():
     mu = measure_from_cells(2, 2, 3, {(1, 2): 17})
     for n in range(4):
         assert entropy(mu, n) == 0.0
+    # every component is one cell
+    sweep = component_entropy_distribution(mu, [0, 1, 2], 1)
+    assert [val for (_, _, val, _) in sweep.rows] == [0.0, 0.0, 0.0]
+    assert conditional_entropy(mu, 3, 1) == 0.0
+
+
+@given(
+    cells=st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(0, 1), st.integers(1, 40)),
+        min_size=1,
+        max_size=60,
+    ),
+    single=st.integers(1, 10**6),
+    base=st.integers(2, 5),
+)
+@settings(max_examples=60, deadline=None)
+def test_group_entropies_match_dict_oracle(cells, single, base):
+    # one extra group of a single cell, whose entropy must be exactly 0
+    cells = cells + [(9, 9, single)]
+    groups = np.array([[g, h] for g, h, _ in cells], dtype=np.int64)
+    w = np.array([c for _, _, c in cells], dtype=np.int64)
+    oracle = {}
+    for g, h, c in cells:
+        oracle.setdefault((g, h), []).append(c)
+    rows, group_w, group_h = _group_entropies(groups, w, base)
+    assert [tuple(int(v) for v in r) for r in rows] == sorted(oracle)
+    for key, total, h in zip(sorted(oracle), group_w, group_h):
+        ws = oracle[key]
+        assert total == sum(ws)
+        assert h >= 0.0
+        if len(ws) == 1:
+            assert h == 0.0
+        else:
+            assert h == pytest.approx(dict_entropy(dict(enumerate(ws)), base), abs=1e-12)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_row_sums_give_the_entropy_bits_of_one_reduce(data):
+    m = data.draw(st.integers(1, 200))
+    pairs = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+    rows = np.array(data.draw(st.lists(pairs, min_size=m, max_size=m)), dtype=np.int64)
+    weights = st.lists(st.integers(1, 50), min_size=m, max_size=m)
+    w = np.array(data.draw(weights), dtype=np.int64)
+    cuts = sorted(data.draw(st.lists(st.integers(0, m), max_size=6)))
+    parts = list(zip(np.split(rows, cuts), np.split(w, cuts)))
+    order = data.draw(st.permutations(range(len(parts))))
+    sums = _RowSums()
+    for i in order:
+        sums.add(*parts[i])
+    whole = _reduce_rows(rows, w)[1]
+    assert _weights_entropy(sums.table()[1], 3) == _weights_entropy(whole, 3)
+    # the weight histogram itself, merged from parts in any order
+    hist = _RowSums()
+    whole_parts = np.split(whole, [c * len(whole) // m for c in cuts])
+    for i in order:
+        hist.add(whole_parts[i][:, None])
+    assert _histogram_entropies(*hist.table(), 3)[2][0] == _weights_entropy(whole, 3)
 
 
 def test_uniform_entropy_is_log_count():

@@ -266,6 +266,20 @@ def test_sorted_key_entropy_chunked_carry():
     )
 
 
+@given(
+    seed=st.integers(0, 2**32),
+    size=st.integers(1, 3000),
+    spread=st.integers(1, 500),
+    base=st.integers(2, 5),
+)
+@settings(max_examples=60, deadline=None)
+def test_sorted_key_entropy_bits_do_not_depend_on_the_chunk(seed, size, spread, base):
+    keys = np.random.default_rng(seed).integers(-spread, spread, size=size)
+    values = [_sorted_key_entropy(keys.copy(), base, chunk=c) for c in (1, 7, 1 << 20)]
+    assert values[0] == values[1] == values[2]
+    assert values[0] >= 0.0
+
+
 # ------------------------------------------------------------ conservation rates
 
 

@@ -107,6 +107,28 @@ def test_branch_interval_contains_addresses():
             assert lo <= a < hi
 
 
+def _below_one(ulps):
+    x = 1.0
+    for _ in range(ulps):
+        x = math.nextafter(x, 0.0)
+    return x
+
+
+@given(
+    b=st.sampled_from([2, 3, 5, 7]),
+    digits=st.lists(st.integers(0, 6), min_size=1, max_size=5),
+    x=st.one_of(st.integers(1, 4).map(_below_one), st.floats(0.0, 1.0, exclude_max=True)),
+)
+@example(b=2, digits=[0, 1], x=1.0 - 2.0**-52)
+@example(b=2, digits=[1, 1], x=1.0 - 2.0**-52)
+@settings(max_examples=200, deadline=None)
+def test_word_address_stays_in_branch_interval(b, digits, x):
+    # near x = 1 the quotient (x + v) / b^m can round up to (v + 1) / b^m
+    w = tuple(d % b for d in digits)
+    lo, hi = branch_interval(b, w)
+    assert lo <= word_address(small_system(b), x, w) < hi
+
+
 def test_symbolic_sum_frozen_oracle():
     # values computed by an independent closed-form evaluation
     p2 = small_system(2, 0.5)
