@@ -19,6 +19,7 @@ from .params import SystemParams, TrigPoly
 from .rng import SplitMix64
 from .words import (
     _branch_sums,
+    _digit_dtype,
     _index_digits,
     branch_interval,
     check_word,
@@ -78,10 +79,16 @@ def condition_h_probe(
     """Search for branch pairs whose fiber sums nearly coincide as functions of x.
 
     Only pairs differing in the first symbol matter: any other disagreement
-    reduces to this case by peeling the common prefix.  A pair whose sup
-    over the x grid falls below twice the truncation tail cannot be told
-    apart from an identical pair at this depth and is reported as a
-    violation candidate.
+    reduces to this case by peeling the common prefix.  All such pairs of
+    depth-m words are checked when they fit the pair budget (exhaustive);
+    otherwise pair_budget pairs of random words are drawn, the second
+    leading symbol forced distinct.  The mode only picks the rows of one
+    word matrix and the row pairs (i, j).  Per grid point the row sums S
+    are evaluated once, and each pair keeps its running max of |S_i - S_j|
+    and, per angle theta, of |Re((S_i - S_j) e^{-2 pi i theta})|; their
+    minima over the pairs are min_sup and theta_minima.  A pair whose sup
+    falls below twice the truncation tail cannot be told apart from an
+    identical pair at this depth and is reported as a violation candidate.
     """
     if depth < 1:
         raise ValueError("need depth >= 1")
@@ -92,81 +99,43 @@ def condition_h_probe(
     noise = 2.0 * params.tail_bound(depth)
     nw = b**depth
     group = nw // b  # words per leading symbol
-    total_pairs = (nw * nw - b * group * group) // 2
+    exhaustive = (nw * nw - b * group * group) // 2 <= pair_budget
+    if exhaustive:
+        words = symbol_block(b, depth, 0, nw)
+        # rows are lexicographic, so i < j with distinct first symbols is
+        # first[i] < first[j]; nonzero lists the pairs in row-major order
+        first = words[:, 0]
+        ii, jj = np.nonzero(first[:, None] < first[None, :])
+    else:
+        # left words are rows 0..count-1, their right partners the rows after
+        stream = SplitMix64(seed, "condition-h.pairs")
+        count = pair_budget
+        words = np.empty((2 * count, depth), dtype=_digit_dtype(b))
+        for rows, name in ((words[:count], "left"), (words[count:], "right")):
+            rows[:] = stream.derive(name).integers(0, count * depth, b).reshape(count, depth)
+        shift = 1 + stream.derive("shift").integers(0, count, b - 1)
+        words[count:, 0] = (words[:count, 0] + shift) % b
+        ii = np.arange(count)
+        jj = ii + count
+    thetas = [] if theta_grid is None else [float(t) for t in theta_grid]
+    phases = [np.exp(-2j * np.pi * t) for t in thetas]
+    sup = np.zeros(len(ii))
+    psup = np.zeros((len(thetas), len(ii)))
+    for x in xs:
+        v = symbolic_sum_batch(params, x, words)
+        d = v[ii] - v[jj]
+        np.maximum(sup, np.abs(d), out=sup)
+        for row, phase in zip(psup, phases):
+            np.maximum(row, np.abs((d * phase).real), out=row)
 
-    if total_pairs <= pair_budget:
-        # the words label the report; their sums come from the prefix tree
-        syms = symbol_block(b, depth, 0, nw).astype(np.int64)
-        values = np.empty((nw, len(xs)), dtype=np.complex128)
-        for k, x in enumerate(xs):
-            values[:, k] = _branch_sums(params, x, depth, 0, nw)
-        sup = np.zeros((nw, nw))
-        for k in range(len(xs)):
-            col = values[:, k]
-            np.maximum(sup, np.abs(col[:, None] - col[None, :]), out=sup)
-        first = syms[:, 0]
-        cross = first[:, None] != first[None, :]
-        cross &= np.tri(nw, nw, -1, dtype=bool).T  # upper triangle only
-        ii, jj = np.nonzero(cross)
-        sups = sup[ii, jj]
-        order = np.argsort(sups, kind="stable")
-        min_sup = float(sups[order[0]])
-        worst = (tuple(syms[ii[order[0]]].tolist()), tuple(syms[jj[order[0]]].tolist()))
-        fails = [
-            (tuple(syms[ii[o]].tolist()), tuple(syms[jj[o]].tolist()), float(sups[o]))
-            for o in order[:100]
-            if sups[o] <= noise
-        ]
-        theta_minima = None
-        if theta_grid is not None:
-            theta_minima = {}
-            for theta in theta_grid:
-                phase = np.exp(-2j * np.pi * float(theta))
-                psup = np.zeros(len(ii))
-                for k in range(len(xs)):
-                    col = values[:, k] * phase
-                    np.maximum(psup, np.abs(col[ii].real - col[jj].real), out=psup)
-                theta_minima[float(theta)] = float(psup.min())
-        return ConditionHReport(
-            depth, True, len(ii), min_sup, noise, worst, fails, theta_minima
-        )
+    def pair(k: int) -> tuple[tuple, tuple]:
+        return tuple(words[ii[k]].tolist()), tuple(words[jj[k]].tolist())
 
-    # sampled pairs: independent words, second leading symbol forced distinct
-    stream = SplitMix64(seed, "condition-h.pairs")
-    count = pair_budget
-    si = stream.derive("left").integers(0, count * depth, b).reshape(count, depth)
-    sj = stream.derive("right").integers(0, count * depth, b).reshape(count, depth)
-    shift = 1 + stream.derive("shift").integers(0, count, b - 1)
-    sj[:, 0] = (si[:, 0] + shift) % b
-    sup = np.zeros(count)
-    want_theta = theta_grid is not None
-    vi = np.empty((count, len(xs)), dtype=np.complex128) if want_theta else None
-    vj = np.empty((count, len(xs)), dtype=np.complex128) if want_theta else None
-    for k, x in enumerate(xs):
-        d_i = symbolic_sum_batch(params, x, si)
-        d_j = symbolic_sum_batch(params, x, sj)
-        np.maximum(sup, np.abs(d_i - d_j), out=sup)
-        if vi is not None:
-            vi[:, k] = d_i
-            vj[:, k] = d_j
     order = np.argsort(sup, kind="stable")
-    min_sup = float(sup[order[0]])
-    worst = (tuple(si[order[0]].tolist()), tuple(sj[order[0]].tolist()))
-    fails = [
-        (tuple(si[o].tolist()), tuple(sj[o].tolist()), float(sup[o]))
-        for o in order[:100]
-        if sup[o] <= noise
-    ]
-    theta_minima = None
-    if theta_grid is not None:
-        theta_minima = {}
-        for theta in theta_grid:
-            phase = np.exp(-2j * np.pi * float(theta))
-            diff = (vi - vj) * phase
-            theta_minima[float(theta)] = float(np.abs(diff.real).max(axis=1).min())
-    return ConditionHReport(
-        depth, False, count, min_sup, noise, worst, fails, theta_minima
-    )
+    fails = [(*pair(o), float(sup[o])) for o in order[:100] if sup[o] <= noise]
+    theta_minima = None if theta_grid is None else dict(zip(thetas, psup.min(axis=1).tolist()))
+    min_sup, worst = float(sup[order[0]]), pair(order[0])
+    return ConditionHReport(depth, exhaustive, len(ii), min_sup, noise, worst, fails, theta_minima)
 
 
 # === exceptional-parameter scan ===
@@ -329,31 +298,23 @@ class SeparationCertificate:
 
 
 def _min_pairwise_gap(values: np.ndarray) -> float:
-    """Exact nearest-pair distance of a complex point set.
+    """Exact nearest-pair distance of a complex point set (inf below two points).
 
-    Small sets go through a chunked all-pairs scan; larger ones through a
-    sweep on real-part order, stopping at the shift where the sorted
-    real gaps already exceed the best distance (which certifies that no
-    farther pair can do better).
+    One sweep over the points in real-part order: shift k compares each
+    point with the k-th next one.  In sorted order every point's real gap
+    to its k-th successor grows with k, and a pair is no closer than its
+    real gap, so once the smallest real gap at a shift reaches the best
+    distance found, no later shift can beat it and the sweep stops.  The
+    result is the all-pairs minimum bit for bit, since each pair's
+    distance is the same float |v_i - v_j|.  Spread-out sets stop after
+    a few shifts; points with equal real parts never stop early, so the
+    worst case is still O(n^2) work in n vector steps.
     """
-    n = len(values)
-    if n < 2:
-        return math.inf
-    if n <= 4096:
-        best = math.inf
-        for lo in range(0, n, 512):
-            block = values[lo : lo + 512]
-            d = np.abs(block[:, None] - values[None, :])
-            rows = np.arange(lo, min(lo + 512, n))
-            d[rows - lo, rows] = math.inf
-            best = min(best, float(d.min()))
-        return best
     v = values[np.argsort(values.real, kind="stable")]
     re = v.real
     best = math.inf
-    for k in range(1, n):
-        span = re[k:] - re[:-k]
-        if float(span.min()) >= best:
+    for k in range(1, len(v)):
+        if float((re[k:] - re[:-k]).min()) >= best:
             break
         best = min(best, float(np.abs(v[k:] - v[:-k]).min()))
     return best
@@ -391,12 +352,11 @@ def exponential_separation_test(
         if sampled:
             stream = SplitMix64(seed, f"separation.n{n}")
             picks = np.unique(stream.words(0, max_points) % count).astype(np.int64)
-            heads = _index_digits(picks, params.b, n - ell)
-            tails = np.tile(np.asarray(w, dtype=heads.dtype), (len(heads), 1))
-            values = symbolic_sum_batch(params, x, np.hstack([heads, tails]))
         else:
-            tails = np.tile(np.asarray(w, dtype=np.int64), (count, 1))
-            values = _branch_sums(params, x, n - ell, 0, count, suffix=tails)
+            picks = np.arange(count, dtype=np.int64)
+        heads = _index_digits(picks, params.b, n - ell)
+        tails = np.tile(np.asarray(w, dtype=heads.dtype), (len(heads), 1))
+        values = symbolic_sum_batch(params, x, np.hstack([heads, tails]))
         gap = _min_pairwise_gap(values)
         cert.rows.append(
             SeparationRow(n, nhat, threshold, gap, gap > threshold, len(values), sampled)

@@ -73,7 +73,6 @@ KEY_SPECS: dict[str, tuple[str, str, object]] = {
     "thread_count": ("budgets", "int", 0),
     "experiment": ("experiment", "str", ""),
     "x": ("experiment", "float", 0.1710339),
-    "theta": ("experiment", "float", 0.0816),
     "n": ("experiment", "int", 10),
     "q": ("experiment", "int", 5),
     "depth": ("experiment", "int", 0),
@@ -83,8 +82,6 @@ KEY_SPECS: dict[str, tuple[str, str, object]] = {
     "cloud_mode": ("experiment", "str", "orbit"),
     "density_pixels": ("experiment", "int", 128),
     "gamma_values": ("experiment", "floats", (0.5, 0.55, 0.6)),
-    "box_min_level": ("experiment", "int", 2),
-    "box_max_level": ("experiment", "int", 10),
     "porosity_h": ("experiment", "float", -1.0),
     "porosity_delta": ("experiment", "float", 0.2),
     "porosity_m": ("experiment", "int", 4),

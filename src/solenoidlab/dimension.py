@@ -182,9 +182,10 @@ def fiber_dimension(
     """Entropy-slope estimate of the fiber measure dimension at x.
 
     Fits H(m_x, L_l) against l after trimming the coarsest and finest
-    levels and dropping any level whose occupied-cell count exceeds a
-    tenth of the sample budget (where the empirical measure goes flat).
-    threads caps the workers of the build (every CPU when None).
+    levels.  In sampled mode it also drops any level whose occupied-cell
+    count, read from the entropy profile, exceeds a tenth of the sample
+    budget (where the empirical measure goes flat).  threads caps the
+    workers of the build (every CPU when None).
     """
     spec = FiberMeasureSpec(
         params, x, depth, resolution, mode=mode, sample_count=sample_count, seed=seed
@@ -194,9 +195,8 @@ def fiber_dimension(
     prof = entropy_profile(mu, levels)
     keep = levels[trim : len(levels) - trim] if len(levels) > 2 * trim + 1 else levels
     if mode == "sampled":
-        budget = spec.total_words
-        occupied = {l: mu.coarsen(l).ncells for l in keep}
-        keep = [l for l in keep if occupied[l] <= 0.1 * budget]
+        occupied = dict(zip(prof.levels, prof.cells))
+        keep = [l for l in keep if occupied[l] <= 0.1 * spec.total_words]
     if len(keep) < 2:
         raise ValueError("too few usable levels for a slope fit")
     ent = dict(zip(prof.levels, prof.entropies))

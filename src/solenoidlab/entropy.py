@@ -125,10 +125,11 @@ def conditional_entropy(mu: GridMeasure, fine: int, coarse: int) -> float:
 
 @dataclass
 class EntropyProfile:
-    """Entropy by level, with normalized values H/n."""
+    """Entropy and occupied-cell count by level, with normalized values H/n."""
 
     levels: list[int]
     entropies: list[float]
+    cells: list[int]
 
     @property
     def normalized(self) -> list[float]:
@@ -147,6 +148,7 @@ class EntropyProfile:
 
 
 def entropy_profile(mu: GridMeasure, levels: Sequence[int]) -> EntropyProfile:
+    """Entropy and occupied-cell count of mu at each requested level."""
     lv = sorted(set(int(n) for n in levels))
     if not lv:
         raise ValueError("no levels requested")
@@ -154,7 +156,13 @@ def entropy_profile(mu: GridMeasure, levels: Sequence[int]) -> EntropyProfile:
         raise ValueError(
             f"entropy below resolution: level {lv[-1]} finer than stored {mu.level}"
         )
-    return EntropyProfile(lv, [entropy(mu, n) for n in lv])
+    entropies, cells = [], []
+    for n in lv:
+        weights = mu.coarsen(n).weights
+        cells.append(len(weights))
+        entropies.append(_weights_entropy(weights, mu.base))
+        del weights  # one level's table at a time
+    return EntropyProfile(lv, entropies, cells)
 
 
 @dataclass

@@ -285,9 +285,6 @@ class GridMeasure:
         c = (self.idx + 0.5) * scale
         return c[:, 0] if self.dim == 1 else c
 
-    def probabilities(self) -> np.ndarray:
-        return self.weights / self.total
-
     def max_cell_mass(self) -> float:
         return int(self.weights.max()) / self.total
 
@@ -403,7 +400,9 @@ def load_measure(text: str, base: Optional[int] = None) -> GridMeasure:
     """Parse a dump.  Leading '#' comment lines are permitted and skipped.
 
     A v2 dump carries its grid base, and a base passed here must agree
-    with it.  A v1 dump has none, so the caller must supply it.
+    with it.  A v1 dump has none, so the caller must supply it.  Header
+    fields are name=value, each at most once; a missing, malformed or
+    repeated field raises ValueError naming it.
     """
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines:
@@ -411,17 +410,28 @@ def load_measure(text: str, base: Optional[int] = None) -> GridMeasure:
     header = lines[0].split()
     if header[:2] not in (["GRIDMEASURE", "v1"], ["GRIDMEASURE", "v2"]):
         raise ValueError(f"bad measure header: {lines[0]!r}")
-    fields = dict(part.split("=", 1) for part in header[2:])
+    fields = {}
+    for part in header[2:]:
+        name, eq, value = part.partition("=")
+        if not eq:
+            raise ValueError(f"measure header field {part!r} is not name=value")
+        if name in fields:
+            raise ValueError(f"measure header repeats the {name} field")
+        fields[name] = value
+
+    def header_int(name: str) -> int:
+        if name not in fields:
+            raise ValueError(f"measure header lacks the {name} field")
+        return int(fields[name])
+
     if header[1] == "v2":
-        stored = int(fields["base"])
+        stored = header_int("base")
         if base is not None and base != stored:
             raise ValueError(f"base {base} given for a dump of base {stored}")
         base = stored
     elif base is None:
         raise ValueError("a GRIDMEASURE v1 dump has no base; pass it")
-    dim = int(fields["dim"])
-    level = int(fields["level"])
-    total = int(fields["total"])
+    dim, level, total = header_int("dim"), header_int("level"), header_int("total")
     rows = []
     weights = []
     for ln in lines[1:]:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solenoidlab.checks import (
     _min_pairwise_gap,
@@ -17,7 +19,8 @@ from solenoidlab.checks import (
 )
 from solenoidlab.fiber import FiberMeasureSpec, build_fiber_measure
 from solenoidlab.params import SystemParams, TrigPoly
-from solenoidlab.words import scale_hat
+from solenoidlab.rng import SplitMix64
+from solenoidlab.words import enumerate_words, scale_hat, symbolic_sum
 
 X_GRID = [(i + 0.5) / 17 for i in range(17)]
 
@@ -65,6 +68,50 @@ def test_condition_h_theta_minima(system_b2):
     for v in report.theta_minima.values():
         # a projected sup never exceeds the complex sup of the same pair
         assert 0.0 <= v <= report.min_sup + 1e-12
+
+
+@pytest.mark.parametrize("b, depth", [(2, 4), (3, 3)])
+def test_condition_h_exhaustive_matches_scalar_oracle(cos_poly, b, depth):
+    params = SystemParams(b, 0.55, math.sqrt(2.0) - 1.0, cos_poly)
+    xs = X_GRID[::3]
+    report = condition_h_probe(params, 10**6, depth, xs, theta_grid=[0.0, 0.3])
+    assert report.exhaustive
+    words = enumerate_words(b, depth)
+    sums = {w: np.array([symbolic_sum(params, x, w) for x in xs]) for w in words}
+    cross = [(u, v) for k, u in enumerate(words) for v in words[k + 1 :] if u[0] != v[0]]
+    assert report.pairs_checked == len(cross)
+    sup = {pair: float(np.abs(sums[pair[0]] - sums[pair[1]]).max()) for pair in cross}
+    assert report.min_sup == pytest.approx(min(sup.values()), abs=1e-12)
+    assert sup[report.worst_pair] == pytest.approx(report.min_sup, abs=1e-12)
+    for theta, got in report.theta_minima.items():
+        phase = np.exp(-2j * np.pi * theta)
+        want = min(np.abs(((sums[u] - sums[v]) * phase).real).max() for u, v in cross)
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_condition_h_sampled_theta_minima(system_b3):
+    # the sampled pairs, redrawn from the probe's documented streams
+    count, depth, seed, thetas = 40, 7, 5, [0.0, 0.15, 0.4]
+    report = condition_h_probe(system_b3, count, depth, X_GRID, theta_grid=thetas, seed=seed)
+    assert not report.exhaustive and report.pairs_checked == count
+    stream = SplitMix64(seed, "condition-h.pairs")
+    left = stream.derive("left").integers(0, count * depth, 3).reshape(count, depth)
+    right = stream.derive("right").integers(0, count * depth, 3).reshape(count, depth)
+    right[:, 0] = (left[:, 0] + 1 + stream.derive("shift").integers(0, count, 2)) % 3
+    diffs = np.array(
+        [
+            [symbolic_sum(system_b3, x, u) - symbolic_sum(system_b3, x, v) for x in X_GRID]
+            for u, v in zip(left, right)
+        ]
+    )
+    sups = np.abs(diffs).max(axis=1)
+    assert report.min_sup == pytest.approx(sups.min(), abs=1e-12)
+    assert (tuple(left[sups.argmin()]), tuple(right[sups.argmin()])) == report.worst_pair
+    assert list(report.theta_minima) == thetas
+    for theta in thetas:
+        phase = np.exp(-2j * np.pi * theta)
+        want = np.abs((diffs * phase).real).max(axis=1).min()
+        assert report.theta_minima[theta] == pytest.approx(want, abs=1e-12)
 
 
 def test_condition_h_validation(system_b2):
@@ -124,20 +171,39 @@ def test_min_pairwise_gap_known_values():
     assert _min_pairwise_gap(np.array([0j, 3 + 4j, 10 + 0j])) == pytest.approx(5.0)
     assert _min_pairwise_gap(np.array([1 + 1j, 1 + 1j, 5 + 0j])) == 0.0
     assert _min_pairwise_gap(np.array([2 + 3j])) == math.inf
+    # the nearest pair is two apart in real-part order, and its real gap is
+    # just under the best distance between neighbours: the sweep must not stop
+    assert _min_pairwise_gap(np.array([0j, 0.98 + 1j, 1 + 0j])) == 1.0
 
 
-def test_min_pairwise_gap_sweep_matches_brute():
-    rng = np.random.default_rng(5)
-    pts = rng.random(5000) + 1j * rng.random(5000)
-    got = _min_pairwise_gap(pts.copy())
+def _point_set(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.random(n) + 1j * rng.random(n)
+    if kind == "equal-real":  # two vertical lines: the sweep never stops early
+        return rng.integers(0, 2, n) / 3 + 1j * rng.random(n)
+    if kind == "lattice":  # many pairs tie at the lattice spacing
+        k = rng.permutation(n)
+        return (k % 61) / 7 + 1j * (k // 61) / 7
+    pts = rng.random(n // 2 + 1) + 1j * rng.random(n // 2 + 1)
+    return pts[rng.integers(0, len(pts), n)]  # exact duplicates
+
+
+@given(
+    st.sampled_from(["random", "equal-real", "lattice", "duplicates"]),
+    st.one_of(st.integers(0, 64), st.integers(4090, 4200), st.just(5000)),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_min_pairwise_gap_sweep_matches_brute(kind, n, seed):
+    pts = _point_set(kind, n, seed)
     best = math.inf
-    for lo in range(0, len(pts), 512):
-        block = pts[lo : lo + 512]
-        d = np.abs(block[:, None] - pts[None, :])
-        rows = np.arange(lo, min(lo + 512, len(pts)))
+    for lo in range(0, n, 512):
+        d = np.abs(pts[lo : lo + 512, None] - pts[None, :])
+        rows = np.arange(lo, min(lo + 512, n))
         d[rows - lo, rows] = math.inf
         best = min(best, float(d.min()))
-    assert got == pytest.approx(best, rel=1e-12)
+    assert _min_pairwise_gap(pts.copy()) == best
 
 
 def test_separation_constant_drive_fails_everywhere(constant_system):

@@ -76,6 +76,12 @@ def test_unknown_key_names_line():
         parse_config("b = 2\n\ngama_abs = 0.5\n")
 
 
+@pytest.mark.parametrize("key", ["theta", "box_min_level", "box_max_level"])
+def test_keys_no_experiment_reads_are_unknown(key):
+    with pytest.raises(ConfigError, match=f"line 1: unknown key {key}"):
+        parse_config(f"{key} = 3\n")
+
+
 def test_unknown_section_and_malformed_lines():
     with pytest.raises(ConfigError, match="unknown section"):
         parse_config("[systems]\n")

@@ -232,6 +232,14 @@ def test_profile_slope_of_exact_product_measure():
     assert profile.normalized[-1] == pytest.approx(2.0, abs=1e-12)
 
 
+def test_profile_records_each_levels_cells():
+    mu = random_measure(11, base=3, level=4, cells=60)
+    profile = entropy_profile(mu, [4, 1, 3])
+    assert profile.levels == [1, 3, 4]
+    assert profile.cells == [mu.coarsen(n).ncells for n in (1, 3, 4)]
+    assert profile.entropies == [entropy(mu, n) for n in (1, 3, 4)]
+
+
 def test_profile_needs_two_levels():
     mu = random_measure(10)
     with pytest.raises(ValueError):

@@ -172,6 +172,24 @@ def test_load_rejects_conflicting_base():
         load_measure(text, 2)
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("GRIDMEASURE v2 dim=1 level=2 total=3", "lacks the base field"),
+        ("GRIDMEASURE v2 base=2 level=2 total=3", "lacks the dim field"),
+        ("GRIDMEASURE v2 base=2 dim=1 total=3", "lacks the level field"),
+        ("GRIDMEASURE v2 base=2 dim=1 level=2", "lacks the total field"),
+        ("GRIDMEASURE v1 dim=1 level=2", "lacks the total field"),
+        ("GRIDMEASURE v2 base=2 dim=1 level=2 total3", "field 'total3' is not name=value"),
+        ("GRIDMEASURE v2 base=2 dim=1 level=2 total=3 base=3", "repeats the base field"),
+        ("GRIDMEASURE v1 dim=1 dim=2 level=2 total=3", "repeats the dim field"),
+    ],
+)
+def test_load_names_the_bad_header_field(header, message):
+    with pytest.raises(ValueError, match=message):
+        load_measure(header + "\n1 1\n3 2\n", 2)
+
+
 def test_load_reads_v1_with_callers_base():
     mu = random_measure(29, base=3, dim=2, level=2, cells=8)
     head, body = dump_measure(mu).split("\n", 1)
