@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .gridmeasure import GridMeasure, _coarsen_each
 from .params import SystemParams, TrigPoly
 from .rng import SplitMix64
 from .words import (
@@ -92,6 +93,8 @@ def condition_h_probe(
     """
     if depth < 1:
         raise ValueError("need depth >= 1")
+    if pair_budget < 1:
+        raise ValueError(f"pair_budget must be >= 1, got {pair_budget}")
     xs = [float(x) for x in x_grid]
     if not xs:
         raise ValueError("empty x grid")
@@ -569,8 +572,7 @@ def atomlessness_probe(
         mu = build_fiber_measure(spec, threads=threads)
         for j, theta in enumerate(theta_grid):
             proj = project_measure(mu, float(theta))
-            for k, n in enumerate(ns):
-                values[i, j, k] = proj.coarsen(n).max_cell_mass()
+            values[i, j] = _coarsen_each(proj, ns, GridMeasure.max_cell_mass)
     return AtomlessnessTable([float(x) for x in x_grid], [float(t) for t in theta_grid], ns, values)
 
 

@@ -31,13 +31,7 @@ from .dimension import (
     generate_attractor,
     predicted_fiber_dimension,
 )
-from .entropy import (
-    component_entropy_distribution,
-    conditional_entropy,
-    entropy,
-    entropy_profile,
-    porosity_check,
-)
+from .entropy import _porosity_sweep, conditional_entropy, entropy, entropy_profile
 from .fiber import FiberMeasureSpec, build_fiber_measure, depth_for_resolution
 from .gridmeasure import dump_measure
 from .params import SystemParams
@@ -177,16 +171,19 @@ def _run_fiber_entropy(cfg: RunConfig, out: Path, threads: Optional[int], seed: 
 
 def _run_porosity(cfg: RunConfig, out: Path, threads: Optional[int], seed: int):
     o = cfg.options
+    deepest = o["i_max"] - 1 + o["porosity_m"]
+    if deepest > o["n"]:
+        raise ConfigError(
+            f"the components need level i_max - 1 + porosity_m = {deepest}, "
+            f"finer than n = {o['n']}: lower i_max or porosity_m, or raise n"
+        )
     spec = _fiber_spec(cfg, stream_seed(seed, "porosity"))
     mu = build_fiber_measure(spec, threads=threads)
     h = o["porosity_h"]
     if h < 0:
         h = _profile_alpha(entropy_profile(mu, range(1, o["n"] + 1)))
-    report = porosity_check(
+    sweep, report = _porosity_sweep(
         mu, h, o["porosity_delta"], o["porosity_m"], o["i_min"], o["i_max"]
-    )
-    sweep = component_entropy_distribution(
-        mu, range(o["i_min"], o["i_max"]), o["porosity_m"]
     )
     lines = [_header(cfg, "porosity", seed), "i,cell,component_entropy,mass\n"]
     for lv, cell, val, mass in sweep.rows:

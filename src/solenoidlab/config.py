@@ -86,7 +86,7 @@ KEY_SPECS: dict[str, tuple[str, str, object]] = {
     "porosity_delta": ("experiment", "float", 0.2),
     "porosity_m": ("experiment", "int", 4),
     "i_min": ("experiment", "int", 1),
-    "i_max": ("experiment", "int", 8),
+    "i_max": ("experiment", "int", 7),
     "nx": ("experiment", "int", 16),
     "ntheta": ("experiment", "int", 32),
     "pairs": ("experiment", "int", 8),
@@ -209,7 +209,7 @@ def _assemble(values: dict, where: dict, warnings: list[str]) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid system: {exc}") from exc
 
-    for key in ("max_words", "max_points", "sample_count"):
+    for key in ("max_words", "max_points", "sample_count", "pair_budget"):
         if values[key] < 1:
             raise ConfigError(f"{where[key]}: {key} must be positive")
     if values["thread_count"] < 0:

@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .gridmeasure import GridMeasure, _reduce_rows, convolve
+from .gridmeasure import GridMeasure, _coarsen_each, _reduce_rows, convolve
 
 __all__ = [
     "entropy",
@@ -148,7 +148,12 @@ class EntropyProfile:
 
 
 def entropy_profile(mu: GridMeasure, levels: Sequence[int]) -> EntropyProfile:
-    """Entropy and occupied-cell count of mu at each requested level."""
+    """Entropy and occupied-cell count of mu at each requested level.
+
+    Each level's table is coarsened from the finest one already made that
+    has at most half of mu's cells, or from the stored level while none
+    has; the tables equal those coarsened from the stored level.
+    """
     lv = sorted(set(int(n) for n in levels))
     if not lv:
         raise ValueError("no levels requested")
@@ -156,13 +161,10 @@ def entropy_profile(mu: GridMeasure, levels: Sequence[int]) -> EntropyProfile:
         raise ValueError(
             f"entropy below resolution: level {lv[-1]} finer than stored {mu.level}"
         )
-    entropies, cells = [], []
-    for n in lv:
-        weights = mu.coarsen(n).weights
-        cells.append(len(weights))
-        entropies.append(_weights_entropy(weights, mu.base))
-        del weights  # one level's table at a time
-    return EntropyProfile(lv, entropies, cells)
+    per_level = _coarsen_each(
+        mu, lv, lambda table: (table.ncells, _weights_entropy(table.weights, mu.base))
+    )
+    return EntropyProfile(lv, [h for _, h in per_level], [c for c, _ in per_level])
 
 
 @dataclass
@@ -199,7 +201,10 @@ def component_entropy_distribution(
     """Normalized scale-m entropies (1/m) H of all rescaled components.
 
     i_range lists the component levels; requires max(i_range) + m within
-    the stored resolution.
+    the stored resolution.  The level-(i + m) table of each level i is
+    coarsened from the finest one already made that has at most half of
+    mu's cells, or from the stored level while none has; the tables equal
+    those coarsened from the stored level.
     """
     levels = sorted(set(int(i) for i in i_range))
     if not levels:
@@ -212,15 +217,19 @@ def component_entropy_distribution(
         raise ValueError(
             f"entropy below resolution: need level {levels[-1] + m}, stored {mu.level}"
         )
-    rows = []
     total = mu.total
-    for i in levels:
-        fine = mu.coarsen(i + m)
+
+    def components(fine: GridMeasure) -> list[tuple[int, tuple, float, float]]:
         parent = np.floor_divide(fine.idx, mu.base**m)
         parents, group_w, group_h = _group_entropies(parent, fine.weights, mu.base)
-        for p, w, h in zip(parents, group_w, group_h):
-            rows.append((i, tuple(int(v) for v in p), float(h) / m, int(w) / total))
-    return ComponentSweep(m, levels, rows)
+        i = fine.level - m
+        return [
+            (i, tuple(p), h / m, w / total)
+            for p, w, h in zip(parents.tolist(), group_w.tolist(), group_h.tolist())
+        ]
+
+    per_level = _coarsen_each(mu, [i + m for i in levels], components)
+    return ComponentSweep(m, levels, [row for rows in per_level for row in rows])
 
 
 @dataclass
@@ -242,11 +251,18 @@ def porosity_check(
     mass-weighted within a level) whose normalized scale-m entropy falls
     below h + delta; the verdict asks for fraction > 1 - delta.
     """
+    return _porosity_sweep(mu, h, delta, m, n1, n2)[1]
+
+
+def _porosity_sweep(
+    mu: GridMeasure, h: float, delta: float, m: int, n1: int, n2: int
+) -> tuple[ComponentSweep, PorosityReport]:
+    """porosity_check's component sweep, and its report read from that sweep."""
     if not 0 <= n1 < n2:
         raise ValueError(f"need 0 <= n1 < n2, got ({n1}, {n2})")
     sweep = component_entropy_distribution(mu, range(n1, n2), m)
     frac = sweep.fraction_below(h + delta)
-    return PorosityReport(h + delta, frac, delta, frac > 1.0 - delta, m, (n1, n2))
+    return sweep, PorosityReport(h + delta, frac, delta, frac > 1.0 - delta, m, (n1, n2))
 
 
 @dataclass

@@ -31,7 +31,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -335,6 +335,30 @@ class GridMeasure:
             and bool(np.all(self.idx == other.idx))
             and bool(np.all(self.weights == other.weights))
         )
+
+
+def _coarsen_each(
+    mu: GridMeasure, levels: Sequence[int], fn: Callable[[GridMeasure], object]
+) -> list:
+    """fn(mu.coarsen(n)) for each distinct level n, in increasing n.
+
+    Levels are made finest first, each from the finest table held:
+    floor(floor(k / b^a) / b) = floor(k / b^(a+1)) and integer weights
+    add, so a table coarsened from a finer level equals the one made from
+    the stored level.  A table becomes the source of the next level only
+    if it has at most half of mu's cells: a saturated measure keeps nearly
+    all of its cells over several levels, and holding such a table beside
+    the next one would double the memory of one coarsening.
+    """
+    results = {}
+    source = mu
+    for n in sorted(set(levels), reverse=True):
+        table = source.coarsen(n)
+        results[n] = fn(table)
+        if 2 * table.ncells <= mu.ncells:
+            source = table
+        del table  # an unkept table is gone before the next level is made
+    return [results[n] for n in sorted(results)]
 
 
 def measure_from_points(

@@ -19,6 +19,7 @@ from solenoidlab.checks import (
 )
 from solenoidlab.fiber import FiberMeasureSpec, build_fiber_measure
 from solenoidlab.params import SystemParams, TrigPoly
+from solenoidlab.projection import project_measure
 from solenoidlab.rng import SplitMix64
 from solenoidlab.words import enumerate_words, scale_hat, symbolic_sum
 
@@ -119,6 +120,9 @@ def test_condition_h_validation(system_b2):
         condition_h_probe(system_b2, 10, 0, X_GRID)
     with pytest.raises(ValueError, match="empty x grid"):
         condition_h_probe(system_b2, 10, 3, [])
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="pair_budget must be >= 1"):
+            condition_h_probe(system_b2, budget, 3, X_GRID)
 
 
 # ------------------------------------------------------------- exception scan
@@ -303,6 +307,26 @@ def test_atomlessness_point_mass_stays_atomic(zero_system):
     table = atomlessness_probe(zero_system, [0.2], [0.1], [1, 2, 3], depth=12)
     assert np.all(table.values == 1.0)
     assert table.non_increasing()
+
+
+@given(
+    b=st.sampled_from([2, 3, 5]),
+    x=st.floats(0.0, 1.0, exclude_max=True),
+    theta=st.floats(0.0, 1.0, exclude_max=True),
+    n_list=st.lists(st.integers(1, 4), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_atomlessness_matches_per_level_coarsen(b, x, theta, n_list, seed):
+    params = SystemParams(b, 0.5, np.sqrt(2.0) - 1.0, TrigPoly(0.0, (1.0,), ()))
+    ns = sorted(set(n_list))
+    table = atomlessness_probe(
+        params, [x], [theta], n_list, depth=12, mode="sampled", sample_count=3000, seed=seed
+    )
+    spec = FiberMeasureSpec(params, x, 12, ns[-1], mode="sampled", sample_count=3000, seed=seed)
+    proj = project_measure(build_fiber_measure(spec), theta)
+    assert table.n_list == ns
+    assert table.values[0, 0].tolist() == [proj.coarsen(n).max_cell_mass() for n in ns]
 
 
 def test_atomlessness_validation(system_b2):

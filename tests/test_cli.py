@@ -1,9 +1,15 @@
 """Command-line entry point: exit codes, file naming, headers, determinism."""
 
+import importlib
+
 import pytest
 
+from solenoidlab import cli as cli_module
 from solenoidlab.cli import EXPERIMENTS, main
 from solenoidlab.config import config_sha256, parse_config
+
+# the package's `entropy` attribute is the function, not the module
+entropy_module = importlib.import_module("solenoidlab.entropy")
 
 FAST_SYSTEM = """
 [system]
@@ -156,12 +162,32 @@ def test_env_threads_fallback(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
-def test_porosity_runs_end_to_end(tmp_path, capsys):
+def test_porosity_runs_end_to_end(tmp_path, capsys, monkeypatch):
+    grouped = []
+    group = entropy_module._group_entropies
+    monkeypatch.setattr(
+        entropy_module, "_group_entropies", lambda *args: grouped.append(1) or group(*args)
+    )
     code = run(tmp_path, FAST_SYSTEM + "i_min = 1\ni_max = 3\nporosity_m = 3\n", ["porosity"])
     assert code == 0
     out = capsys.readouterr().out
     assert "porosity OK" in out and "verdict=" in out
     assert (tmp_path / "porosity-0.csv").exists()
+    assert len(grouped) == 2  # one sweep of levels 1, 2 serves the csv and the verdict
+
+
+def test_porosity_runs_on_the_default_config(tmp_path, capsys):
+    assert main(["porosity", "--out", str(tmp_path)]) == 0
+    assert "porosity OK" in capsys.readouterr().out
+
+
+def test_porosity_refuses_components_past_n_before_building(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli_module, "build_fiber_measure", lambda *a, **k: pytest.fail("built"))
+    code = run(tmp_path, FAST_SYSTEM + "i_max = 4\nporosity_m = 3\n", ["porosity"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "i_max - 1 + porosity_m = 6" in err and "n = 5" in err
+    assert not (tmp_path / "porosity-0.csv").exists()
 
 
 def test_rotation_runs_end_to_end(tmp_path, capsys):

@@ -114,6 +114,8 @@ def test_semantic_validation():
         parse_config("gamma_abs = 1.0\n")
     with pytest.raises(ConfigError, match="max_words must be positive"):
         parse_config("max_words = 0\n")
+    with pytest.raises(ConfigError, match="line 1: pair_budget must be positive"):
+        parse_config("pair_budget = 0\n")
     with pytest.raises(ConfigError, match="thread_count cannot be negative"):
         parse_config("thread_count = -1\n")
     with pytest.raises(ConfigError, match="mode must be"):

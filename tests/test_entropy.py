@@ -1,6 +1,8 @@
 """Entropy of grid measures, components, porosity, growth under convolution."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from solenoidlab.entropy import (
     saturation_scan,
 )
 from solenoidlab.gridmeasure import (
+    GridMeasure,
+    _coarsen_each,
     _reduce_rows,
     _RowSums,
     convolve,
@@ -238,6 +242,67 @@ def test_profile_records_each_levels_cells():
     assert profile.levels == [1, 3, 4]
     assert profile.cells == [mu.coarsen(n).ncells for n in (1, 3, 4)]
     assert profile.entropies == [entropy(mu, n) for n in (1, 3, 4)]
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    base=st.sampled_from([2, 3, 5]),
+    dim=st.integers(1, 2),
+    cells=st.integers(1, 400),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_multi_level_readers_match_per_level_coarsen(seed, base, dim, cells, data):
+    level = {2: 7, 3: 4, 5: 3}[base]
+    # cells on both sides of the origin, and a boundary tally to carry along
+    mu = replace(random_measure(seed, base, dim, level, cells), boundary_ambiguous=seed % 7)
+    levels = data.draw(st.lists(st.integers(0, level), min_size=1, max_size=10))
+    lv = sorted(set(levels))
+    oracle = [mu.coarsen(n) for n in lv]
+
+    tables = _coarsen_each(mu, levels, lambda table: table)
+    assert [t.level for t in tables] == lv
+    for got, want in zip(tables, oracle):
+        assert got.equals(want)
+        assert (got.box_radius, got.boundary_ambiguous) == (want.box_radius, mu.boundary_ambiguous)
+
+    profile = entropy_profile(mu, levels)
+    assert profile.levels == lv
+    assert profile.cells == [t.ncells for t in oracle]
+    assert profile.entropies == [_weights_entropy(t.weights, base) for t in oracle]
+
+    m = data.draw(st.integers(1, level))
+    i_range = data.draw(st.lists(st.integers(0, level - m), min_size=1, max_size=8))
+    rows = []
+    for i in sorted(set(i_range)):
+        fine = mu.coarsen(i + m)
+        parent = np.floor_divide(fine.idx, base**m)
+        for p, w, h in zip(*_group_entropies(parent, fine.weights, base)):
+            rows.append((i, tuple(int(v) for v in p), float(h) / m, int(w) / mu.total))
+    assert component_entropy_distribution(mu, i_range, m).rows == rows
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_profile_memory_stays_at_one_coarsening():
+    # 2^19 random cells of a 2^15 x 2^15 grid stay nearly all distinct
+    # down to level 12, so every fine table is about as large as mu; a
+    # profile that held one of them beside the next would need twice the
+    # memory of one coarsening
+    rng = np.random.default_rng(5)
+    idx, w = _reduce_rows(rng.integers(-(2**14), 2**14, size=(1 << 19, 2)))
+    mu = GridMeasure(2, 2, 14, idx, w, 1)
+    assert 2 * mu.coarsen(12).ncells > mu.ncells
+    one = _traced_peak(lambda: mu.coarsen(13))
+    profile = _traced_peak(lambda: entropy_profile(mu, range(1, 15)))
+    assert profile <= 1.1 * one
 
 
 def test_profile_needs_two_levels():
