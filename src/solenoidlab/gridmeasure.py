@@ -19,9 +19,13 @@ coordinates are close); the tally is carried on the measure, and exact
 operations propagate it without adding to it.  _reduce_rows encodes
 each row as one int64 key, (k1 - min k1) * span2 + (k2 - min k2) over
 the observed ranges, so key order is row-lexicographic order.  It counts
-equal keys with bincount when the key range is small next to the row
-count and sorts otherwise; weights stay exact int64 on both paths.
-Only rows whose key range does not fit in int64 fall back to a lexsort.
+equal keys with bincount when the key range has at most one slot per
+row, and otherwise sorts them in place, with each weight packed into the
+low bits of its key: a sum over a run of equal keys is an exact integer
+whatever the order inside the run.  Keys and weights too wide to share
+63 bits sort through an argsort instead.  Weights stay exact int64 on
+every path.  Only rows whose key range does not fit in int64 fall back
+to a lexsort.
 _RowSums applies _reduce_rows to rows that arrive in chunks, or takes
 chunks already reduced on other threads, and merges them by addition.
 """
@@ -51,12 +55,11 @@ BOUNDARY_EPS = 1e-13
 
 # bincount only key ranges up to this many slots, and with at most this
 # many slots per row; larger or sparser ranges sort their keys instead.
-# Sorting wins from about 1 slot per row for unit weights, whose keys
-# sort in place, and from about 20 for weights, which need a stable
-# argsort; 8 keeps the float64 count table small next to the rows.
+# Weighted keys sort in place as unit keys do, weight packed in their low
+# bits, so one crossover serves both: from about one slot per row, the
+# count table and the scan of its empty slots cost more than the sort.
 _DENSE_CAP = 1 << 23
-_DENSE_SLOTS_PER_UNIT_ROW = 1
-_DENSE_SLOTS_PER_ROW = 8
+_DENSE_SLOTS_PER_ROW = 1
 # a float64 bincount adds integer weights exactly below this total
 _FLOAT_EXACT = 2.0**52
 _INT64_MAX = np.iinfo(np.int64).max
@@ -160,8 +163,7 @@ def _reduce_rows(
         )
         return rows[starts], np.add.reduceat(w, starts)
     keys = _row_keys(rows, lo, spans)
-    per_row = _DENSE_SLOTS_PER_UNIT_ROW if w is None else _DENSE_SLOTS_PER_ROW
-    if size <= min(_DENSE_CAP, per_row * len(keys)) and (
+    if size <= min(_DENSE_CAP, _DENSE_SLOTS_PER_ROW * len(keys)) and (
         w is None or w.sum(dtype=np.float64) < _FLOAT_EXACT
     ):
         counts = np.bincount(keys, weights=w, minlength=size)
@@ -170,10 +172,19 @@ def _reduce_rows(
         sums = counts[occupied].astype(np.int64)
         del counts
         return _key_rows(occupied, lo, spans), sums
-    if w is None:
+    # each weight in the low bits of its key, if both fit in 63 bits; a
+    # negative weight would spill into the key bits
+    bits = 0 if w is None else int(w.max()).bit_length()
+    if (size - 1).bit_length() + bits <= 63 and (w is None or w.min() >= 0):
+        if bits:
+            keys <<= bits
+            keys |= w
         keys.sort()
+        if bits:
+            w = keys & ((1 << bits) - 1)
+            keys >>= bits
     else:
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys)
         keys = keys[order]
         w = w[order]
         del order

@@ -130,8 +130,10 @@ def projection_entropy_sweep(
             params, x, depth, n, mode=mode, sample_count=sample_count, seed=seed
         )
         mu = build_fiber_measure(spec, threads=threads)
+        centers = mu.centers()
         for j, theta in enumerate(thetas):
-            matrix[i, j] = entropy(project_measure(mu, theta), n) / n
+            line = _line_measure(mu, _line_coordinate(centers, theta), mu.weights)
+            matrix[i, j] = entropy(line, n) / n
     return SweepResult(xs, thetas, n, matrix)
 
 
@@ -206,28 +208,51 @@ class ConservationEstimate:
         return not (self.alpha >= self.beta + 1.0 + 0.1 and self.alpha < 2.0 - 0.1)
 
 
+def _add_counts(hist: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """hist with one more key run of length p + 1 for each p in pairs."""
+    part = np.bincount(pairs + 1)
+    if len(part) < len(hist):
+        part, hist = hist, part
+    part[: len(hist)] += hist
+    return part
+
+
 def _sorted_key_entropy(keys: np.ndarray, base: int, chunk: int = 1 << 20) -> float:
     """Base-b entropy of the multiset of keys; sorts the array IN PLACE.
 
-    The run lengths of the sorted keys are counted chunk by chunk into one
-    integer histogram (lengths, multiplicities), carrying only the start
-    of the run still open at a chunk's end, so no temporary grows with the
-    number of keys and every chunk size gives the same histogram and bits.
+    The sorted keys are scanned chunk by chunk for equal neighbours.  A
+    run of consecutive equal pairs is a key that occurs once more than
+    the run has pairs; the run lengths go into one integer histogram,
+    carrying the run still open at a chunk's end, so memory follows the
+    chunk and the longest run, and every chunk size gives the same
+    histogram and bits.  The keys in no run occur once.
     """
     n = len(keys)
     if n == 0:
         raise ValueError("empty key set")
     keys.sort()
-    lengths = _RowSums()
-    run_start = 0
+    hist = np.zeros(2, dtype=np.int64)  # hist[c]: distinct keys that occur c times
+    open_pairs = 0  # equal pairs of the run that reaches the last chunk's end
     for lo in range(0, n, chunk):
-        # the key before the chunk shows whether a run starts at lo
+        # seg holds the pairs (i, i + 1) with lo - 1 <= i < lo + chunk - 1
         seg = keys[max(lo - 1, 0) : lo + chunk]
-        bounds = np.append(run_start, np.flatnonzero(seg[1:] != seg[:-1]) + max(lo, 1))
-        lengths.add(np.diff(bounds)[:, None])
-        run_start = int(bounds[-1])
-    lengths.add(np.array([[n - run_start]]))
-    return float(_histogram_entropies(*lengths.table(), base)[2][0])
+        eq = np.flatnonzero(seg[1:] == seg[:-1])
+        # the number of equal pairs in each run of consecutive positions in eq
+        pairs = np.diff(np.flatnonzero(np.diff(eq, prepend=-2, append=len(seg) + 1) != 1))
+        if len(eq) and eq[0] == 0:
+            pairs[0] += open_pairs
+        elif open_pairs:
+            pairs = np.append(open_pairs, pairs)
+        open_pairs = 0
+        if len(eq) and eq[-1] == len(seg) - 2:
+            open_pairs = int(pairs[-1])
+            pairs = pairs[:-1]
+        hist = _add_counts(hist, pairs)
+    if open_pairs:
+        hist = _add_counts(hist, np.array([open_pairs]))
+    hist[1] = n - np.arange(len(hist)) @ hist
+    lengths = np.flatnonzero(hist)
+    return float(_histogram_entropies(lengths[:, None], hist[lengths], base)[2][0])
 
 
 def conservation_estimates(

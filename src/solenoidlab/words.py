@@ -263,11 +263,14 @@ def _stratified_suffixes(
             j *= np.uint64(width * GAMMA64 % 2**64)
             z = np.repeat(states, quotas)
             z += j
-            draw = j  # one scratch column, reused for every digit
+            draw, quot = j, np.empty_like(j)  # scratch columns, reused for every digit
             for k in range(width):
                 z += np.uint64(GAMMA64)
                 mix64_array(z, out=draw)
-                out[:, k] = np.remainder(draw, np.uint64(b), out=draw)
+                # draw - (draw // b) * b: a uint64 floor_divide vectorises, % does not
+                np.floor_divide(draw, np.uint64(b), out=quot)
+                quot *= np.uint64(b)
+                out[:, k] = np.subtract(draw, quot, out=draw)
     return s, quotas, out
 
 

@@ -260,7 +260,6 @@ def test_reduce_rows_matches_unique_reference(seed, ncols, nrows, spread, unit):
 @pytest.mark.parametrize("path", ["dense", "sort"])
 def test_reduce_rows_both_count_paths(monkeypatch, path):
     if path == "dense":
-        monkeypatch.setattr(gridmeasure, "_DENSE_SLOTS_PER_UNIT_ROW", 1 << 30)
         monkeypatch.setattr(gridmeasure, "_DENSE_SLOTS_PER_ROW", 1 << 30)
     else:
         monkeypatch.setattr(gridmeasure, "_DENSE_CAP", 0)
@@ -274,14 +273,65 @@ def test_reduce_rows_both_count_paths(monkeypatch, path):
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+def _count_argsorts(monkeypatch):
+    calls = []
+    argsort = np.argsort
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(gridmeasure.np, "argsort", spy)
+    return calls
+
+
 def test_reduce_rows_large_weights_stay_exact(monkeypatch):
-    # a float64 bincount would round these sums, so the reduce must sort
+    # a float64 bincount would round these sums, so the reduce must sort;
+    # 1 key bit beside 61 weight bits fits in one int64, so it packs them
     monkeypatch.setattr(gridmeasure, "_DENSE_SLOTS_PER_ROW", 1 << 30)
+    calls = _count_argsorts(monkeypatch)
     rows = np.array([[0], [1], [0], [1]], dtype=np.int64)
     w = np.array([2**60 + 1, 3, 2**60 + 1, 5], dtype=np.int64)
     got_rows, got_w = _reduce_rows(rows, w)
+    assert calls == []
     assert got_rows.tolist() == [[0], [1]]
     assert got_w.tolist() == [2**61 + 2, 8]
+    want = reference_reduce(rows, w)
+    assert np.array_equal(got_rows, want[0]) and np.array_equal(got_w, want[1])
+
+
+def test_reduce_rows_unpacked_fallback_when_bits_exceed_63(monkeypatch):
+    # 11 key bits and 60 weight bits do not fit in one int64
+    monkeypatch.setattr(gridmeasure, "_DENSE_CAP", 0)
+    calls = _count_argsorts(monkeypatch)
+    rng = np.random.default_rng(11)
+    rows = rng.integers(-1000, 1000, size=(500, 2))
+    rows[0] = (-1000, 0)
+    rows[1] = (999, 0)
+    w = rng.integers(2**59, 2**60 - 1, size=500) // 8
+    got = _reduce_rows(rows, w)
+    want = reference_reduce(rows, w)
+    assert len(calls) == 1
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 3),
+    st.integers(1, 300),
+    st.sampled_from([2, 40, 2**20]),
+    st.sampled_from([None, 2**8, 2**55]),
+)
+@settings(max_examples=80, deadline=None)
+def test_reduce_rows_does_not_depend_on_row_order(seed, ncols, nrows, spread, wmax):
+    # runs of equal keys sum the same integers in any order, on every path
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-spread, spread, size=(nrows, ncols))
+    w = None if wmax is None else rng.integers(1, wmax, size=nrows)
+    p = rng.permutation(nrows)
+    want = _reduce_rows(rows, w)
+    got = _reduce_rows(rows[p], None if w is None else w[p])
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_reduce_rows_key_range_beyond_int64():

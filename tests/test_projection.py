@@ -7,6 +7,7 @@ and the strip table must agree to float roundoff, not just to a
 half-cell tolerance.
 """
 
+import collections
 import math
 import os
 import subprocess
@@ -19,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from solenoidlab import fiber, projection
-from solenoidlab.entropy import entropy
+from solenoidlab.entropy import _histogram_entropies, entropy
 from solenoidlab.fiber import FiberMeasureSpec, build_fiber_measure, certified_level
 from solenoidlab.gridmeasure import GridMeasure, measure_from_cells
 from solenoidlab.params import SystemParams, TrigPoly
@@ -280,6 +281,23 @@ def test_sorted_key_entropy_bits_do_not_depend_on_the_chunk(seed, size, spread, 
     assert values[0] >= 0.0
 
 
+@given(
+    keys=st.lists(st.integers(-40, 40), min_size=1, max_size=600),
+    base=st.integers(2, 5),
+)
+@settings(max_examples=150, deadline=None)
+def test_sorted_key_entropy_equals_the_counter_histogram(keys, base):
+    # the run-length histogram is the exact multiplicity histogram of the
+    # keys, so the entropy is the same bits as from a Counter, at any chunk
+    keys = np.asarray(keys, dtype=np.int64)
+    hist = collections.Counter(collections.Counter(keys.tolist()).values())
+    lengths = np.array(sorted(hist), dtype=np.int64)
+    counts = np.array([hist[c] for c in lengths], dtype=np.int64)
+    want = float(_histogram_entropies(lengths[:, None], counts, base)[2][0])
+    for chunk in (1, 2, 3, 7, 64, 1 << 20):
+        assert _sorted_key_entropy(keys.copy(), base, chunk=chunk) == want
+
+
 # ------------------------------------------------------------ conservation rates
 
 
@@ -338,7 +356,6 @@ def test_sparse_fallback_matches_dense_tables(monkeypatch):
     # tolerance
     params = SystemParams(2, 0.5, math.sqrt(2) - 1, TrigPoly(0.0, (1.0,), ()))
     args = (params, 0.3177, 0.13, 5, [2, 3], 8)
-    monkeypatch.setattr(gridmeasure, "_DENSE_SLOTS_PER_UNIT_ROW", 1 << 30)
     monkeypatch.setattr(gridmeasure, "_DENSE_SLOTS_PER_ROW", 1 << 30)
     dense = conservation_estimates(*args)
     monkeypatch.setattr(gridmeasure, "_DENSE_CAP", 0)

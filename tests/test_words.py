@@ -320,6 +320,28 @@ def test_sampled_symbol_block_split_invariance():
     assert np.array_equal(whole, np.concatenate([first, second]))
 
 
+@pytest.mark.parametrize("b", [2, 3, 10, 128, 129, 200])
+def test_sampled_symbol_block_matches_a_modulo_reference(b):
+    # suffix digit k of sample j in stratum i is output j * width + k of
+    # the stream seeded by output i, taken mod b (int8 up to b = 128)
+    depth, count, start, stop = 7, 70, 1, 5
+    stream = SplitMix64(17, "digits")
+    s, strata, _ = stratum_layout(b, depth, count)
+    stop = min(stop, strata)
+    start = min(start, stop - 1)
+    width = depth - s
+    want = []
+    for i in range(start, stop):
+        sub = SplitMix64(0)
+        sub.state = stream.word(i)
+        quota = count // strata + (i < count % strata)
+        prefix = [(i // b**p) % b for p in range(s - 1, -1, -1)]
+        want += [prefix + [sub.word(j * width + k) % b for k in range(width)] for j in range(quota)]
+    got = sampled_symbol_block(b, depth, count, stream, start, stop)
+    assert got.dtype == (np.int8 if b <= 128 else np.int64)
+    assert got.tolist() == want
+
+
 def brute_scale_hat(params, n):
     g = Fraction(params.gamma_abs)
     target = Fraction(1, params.b**n)
