@@ -3,7 +3,7 @@
 from .params import NAMED_IRRATIONALS, SystemParams, TrigPoly
 from .gridmeasure import GridMeasure, dump_measure, load_measure, measure_from_points
 from .fiber import FiberMeasureSpec, build_fiber_measure, depth_for_resolution
-from .entropy import conditional_entropy, entropy, entropy_profile, porosity_check
+from .entropy import conditional_entropy, entropy_profile, porosity_check
 from .projection import conservation_estimate, project_measure, projection_entropy_sweep
 from .dimension import box_dimension, fiber_dimension, generate_attractor
 
@@ -21,7 +21,6 @@ __all__ = [
     "build_fiber_measure",
     "depth_for_resolution",
     "conditional_entropy",
-    "entropy",
     "entropy_profile",
     "porosity_check",
     "conservation_estimate",

@@ -42,11 +42,8 @@ __all__ = [
     "exponential_separation_test",
     "TransversalityWitness",
     "transversality_search",
-    "verify_transversality",
     "AtomlessnessTable",
     "atomlessness_probe",
-    "BoundaryMassTable",
-    "boundary_mass_probe",
 ]
 
 
@@ -506,23 +503,7 @@ def _continuation_margins(
     return a1, a2
 
 
-def verify_transversality(
-    params: SystemParams, witness: TransversalityWitness, grid_factor: int = 10, seed: int = 1
-) -> tuple[float, float]:
-    """Re-evaluate a witness on a finer grid with fresh continuations."""
-    return _continuation_margins(
-        params,
-        witness.h,
-        witness.h_prime,
-        witness.a,
-        witness.grid * grid_factor,
-        witness.sample_depth,
-        witness.samples * 2,
-        SplitMix64(seed, "transversality.verify"),
-    )
-
-
-# === atomlessness and boundary mass ===
+# === atomlessness ===
 
 
 @dataclass
@@ -574,71 +555,3 @@ def atomlessness_probe(
             proj = project_measure(mu, float(theta))
             values[i, j] = _coarsen_each(proj, ns, GridMeasure.max_cell_mass)
     return AtomlessnessTable([float(x) for x in x_grid], [float(t) for t in theta_grid], ns, values)
-
-
-@dataclass
-class BoundaryMassTable:
-    level: int
-    n_list: list[int]
-    delta2_list: list[float]
-    values: np.ndarray  # (n, delta2) mass fractions
-
-    def decreasing_in_delta2(self) -> bool:
-        return bool(np.all(np.diff(self.values, axis=1) <= 1e-12))
-
-
-def boundary_mass_probe(
-    params: SystemParams,
-    x: float,
-    n_list: Sequence[int],
-    delta2_list: Sequence[float],
-    resolution: Optional[int] = None,
-    depth: Optional[int] = None,
-    mode: str = "exhaustive",
-    sample_count: int = 0,
-    seed: int = 0,
-    threads: Optional[int] = None,
-    mu=None,
-) -> BoundaryMassTable:
-    """Mass near the level-n grid lines, for each (n, delta2).
-
-    The neighborhood has width delta2 * b^-n on each side of each line;
-    it must be at least one cell of the working measure wide, otherwise
-    the question outruns the resolution.  Pass mu to probe a prebuilt
-    measure instead of constructing one.  threads caps the workers of
-    the build (every CPU when None).
-    """
-    from .fiber import FiberMeasureSpec, build_fiber_measure, depth_for_resolution
-
-    ns = sorted(set(int(n) for n in n_list))
-    deltas = sorted((float(d) for d in delta2_list), reverse=True)
-    if not ns or not deltas:
-        raise ValueError("empty probe table")
-    if mu is None:
-        if resolution is None:
-            resolution = ns[-1] + int(math.ceil(math.log(1.0 / min(deltas), params.b))) + 1
-        if depth is None:
-            depth = depth_for_resolution(params, resolution)
-        spec = FiberMeasureSpec(
-            params, x, depth, resolution, mode=mode, sample_count=sample_count, seed=seed
-        )
-        mu = build_fiber_measure(spec, threads=threads)
-    level = mu.level
-    for n in ns:
-        for d in deltas:
-            if d * float(mu.base) ** (level - n) < 1.0:
-                raise ValueError(
-                    f"boundary neighborhood thinner than resolution: "
-                    f"delta2={d} at level n={n} needs a measure finer than level {level}"
-                )
-    centers = mu.centers()
-    total = mu.total
-    values = np.zeros((len(ns), len(deltas)))
-    for i, n in enumerate(ns):
-        sx = centers[:, 0] * mu.base**n
-        sy = centers[:, 1] * mu.base**n
-        dist = np.minimum(np.abs(sx - np.rint(sx)), np.abs(sy - np.rint(sy)))
-        for j, d in enumerate(deltas):
-            mask = dist <= d
-            values[i, j] = int(mu.weights[mask].sum()) / total
-    return BoundaryMassTable(level, ns, deltas, values)

@@ -19,8 +19,8 @@ exactly from the subcell table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,9 +35,6 @@ __all__ = [
     "component_entropy_distribution",
     "PorosityReport",
     "porosity_check",
-    "SaturationReport",
-    "SaturationScan",
-    "saturation_scan",
     "GrowthReport",
     "entropy_growth_experiment",
     "decomposition_gap",
@@ -263,122 +260,6 @@ def _porosity_sweep(
     sweep = component_entropy_distribution(mu, range(n1, n2), m)
     frac = sweep.fraction_below(h + delta)
     return sweep, PorosityReport(h + delta, frac, delta, frac > 1.0 - delta, m, (n1, n2))
-
-
-@dataclass
-class SaturationReport:
-    subspace: str
-    theta: Optional[float]
-    captured: float
-    concentrated: bool
-    entropy_rate: float
-    projected_rate: Optional[float]
-    defect: float
-    saturated: bool
-
-
-@dataclass
-class SaturationScan:
-    eps: float
-    scale: int
-    zero: SaturationReport
-    line: SaturationReport
-    full: SaturationReport
-    line_table: list[SaturationReport]
-
-
-def _best_ball_mass(mu: GridMeasure, eps: float) -> float:
-    """Largest mass within distance eps of any single point (candidate scan).
-
-    Candidates are the occupied-cell centers of a coarsening at the scale
-    of eps; coarse cell centers displace a true optimum by at most one
-    cell, which the tests tolerate by construction.
-    """
-    lvl = 0
-    while mu.base ** (-lvl) > eps and lvl < mu.level:
-        lvl += 1
-    work = mu
-    while work.ncells > 50_000 and work.level > lvl:
-        work = work.coarsen(work.level - 1)
-    coarse = work.coarsen(lvl)
-    cand = coarse.centers().reshape(coarse.ncells, -1)
-    pts = work.centers().reshape(work.ncells, -1)
-    best = 0
-    chunk = max(1, 2_000_000 // max(1, work.ncells))
-    for lo in range(0, len(cand), chunk):
-        d2 = ((cand[lo : lo + chunk, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        inside = (d2 <= eps * eps).astype(np.int64)
-        masses = inside @ work.weights
-        if len(masses):
-            best = max(best, int(masses.max()))
-    return best / work.total
-
-
-def _best_window_mass(values: np.ndarray, weights: np.ndarray, width: float) -> float:
-    """Largest weight fraction inside any closed window of the given width."""
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    w = weights[order]
-    csum = np.concatenate(([0], np.cumsum(w)))
-    right = np.searchsorted(v, v + width, side="right")
-    best = int((csum[right] - csum[np.arange(len(v))]).max())
-    return best / csum[-1]
-
-
-def saturation_scan(
-    mu: GridMeasure, eps: float, m: int, theta_grid: Sequence[float]
-) -> SaturationScan:
-    """Concentration and saturation diagnostics per subspace class.
-
-    For the trivial subspace the concentration reading is the best
-    eps-ball mass (near-point-mass probe); its saturation holds
-    vacuously.  For a line at angle theta, concentration captures mass
-    within eps of a line perpendicular to it, and saturation compares
-    the measure's rate against its projection onto that perpendicular.
-    For the full plane, saturation asks the rate to nearly reach 2.
-    """
-    if mu.dim != 2:
-        raise ValueError("saturation scan needs a planar measure")
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    rate = entropy(mu, m) / m
-    centers = mu.centers()
-    z = centers[:, 0] + 1j * centers[:, 1]
-
-    ball = _best_ball_mass(mu, eps)
-    zero_rep = SaturationReport(
-        "zero", None, ball, ball >= 1.0 - eps, rate, rate, 0.0, True
-    )
-
-    from .projection import project_measure  # local import to avoid a cycle
-
-    best_line = None
-    table = []
-    for theta in theta_grid:
-        t = np.real(z * np.exp(-2j * np.pi * theta))
-        captured = _best_window_mass(t, mu.weights, 2.0 * eps)
-        perp = project_measure(mu, theta + 0.25)
-        proj_rate = entropy(perp, m) / m
-        defect = rate - proj_rate - 1.0
-        rep = SaturationReport(
-            "line",
-            float(theta),
-            captured,
-            captured >= 1.0 - eps,
-            rate,
-            proj_rate,
-            defect,
-            defect >= -eps,
-        )
-        table.append(rep)
-        if best_line is None or rep.captured > best_line.captured:
-            best_line = rep
-
-    full_defect = rate - 2.0
-    full_rep = SaturationReport(
-        "full", None, ball, ball >= 1.0 - eps, rate, 0.0, full_defect, full_defect >= -eps
-    )
-    return SaturationScan(eps, m, zero_rep, best_line, full_rep, table)
 
 
 @dataclass

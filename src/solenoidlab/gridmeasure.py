@@ -46,8 +46,6 @@ __all__ = [
     "dump_measure",
     "load_measure",
     "convolve",
-    "component_measure",
-    "rescale_component",
     "BOUNDARY_EPS",
 ]
 
@@ -513,65 +511,3 @@ def convolve(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
         mu.boundary_ambiguous + nu.boundary_ambiguous,
     )
 
-
-def _component_mask(mu: GridMeasure, parent_level: int, cell: Sequence[int]) -> np.ndarray:
-    if not 0 <= parent_level <= mu.level:
-        raise ValueError(
-            f"component level must lie in [0, {mu.level}], got {parent_level}"
-        )
-    cell = np.asarray(cell, dtype=np.int64).reshape(-1)
-    if cell.shape != (mu.dim,):
-        raise ValueError(f"cell index must have {mu.dim} coordinates")
-    factor = mu.base ** (mu.level - parent_level)
-    parents = np.floor_divide(mu.idx, factor)
-    return np.all(parents == cell[None, :], axis=1)
-
-
-def component_measure(
-    mu: GridMeasure, parent_level: int, cell: Sequence[int]
-) -> GridMeasure:
-    """Restriction of mu to one level-parent_level cell, weights unchanged."""
-    mask = _component_mask(mu, parent_level, cell)
-    if not mask.any():
-        raise ValueError(f"empty component: cell {tuple(cell)} carries no mass")
-    return GridMeasure(
-        mu.base,
-        mu.dim,
-        mu.level,
-        mu.idx[mask],
-        mu.weights[mask].copy(),
-        mu.box_radius,
-        mu.boundary_ambiguous,
-    )
-
-
-def rescale_component(
-    mu: GridMeasure, parent_level: int, cell: Optional[Sequence[int]] = None
-) -> GridMeasure:
-    """Component pushed forward by z -> b^parent_level z - corner, onto [0, 1)^dim.
-
-    Pure index arithmetic (subtract the parent corner, drop the parent
-    levels), so the rescaled table is exact.  With cell=None the measure
-    itself must already live in a single parent cell.
-    """
-    if cell is None:
-        factor = mu.base ** (mu.level - parent_level)
-        parents = np.floor_divide(mu.idx, factor)
-        if np.any(parents != parents[0]):
-            raise ValueError("support spans multiple cells at the parent level")
-        cell = parents[0]
-    mask = _component_mask(mu, parent_level, cell)
-    if not mask.any():
-        raise ValueError(f"empty component: cell {tuple(cell)} carries no mass")
-    cell = np.asarray(cell, dtype=np.int64).reshape(1, mu.dim)
-    factor = mu.base ** (mu.level - parent_level)
-    new_idx = mu.idx[mask] - cell * factor
-    return GridMeasure(
-        mu.base,
-        mu.dim,
-        mu.level - parent_level,
-        new_idx,
-        mu.weights[mask].copy(),
-        1,
-        mu.boundary_ambiguous,
-    )

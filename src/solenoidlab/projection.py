@@ -19,6 +19,12 @@ no separate dense or sparse mode here.  All three rates then go through
 the entropy module's one histogram entropy, so their bits do not depend
 on how the words were split into tiles, blocks or chunks.  The estimator
 keeps no boundary tally.
+
+strip_decomposition is the same strip split on a binned planar measure,
+the reference the streamed estimator is tested against.  It floors cell
+centers to strips with the tiles' formula, orders the cells by strip
+once, and bins each strip's slice along the strip, so it costs one sort
+of the cells however many strips there are.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ __all__ = [
     "project_measure",
     "SweepResult",
     "projection_entropy_sweep",
-    "fiber_conditional_measure",
     "strip_decomposition",
     "ConservationEstimate",
     "conservation_estimate",
@@ -137,45 +142,30 @@ def projection_entropy_sweep(
     return SweepResult(xs, thetas, n, matrix)
 
 
-def fiber_conditional_measure(
-    mu: GridMeasure, theta: float, c: float, q: int
-) -> GridMeasure:
-    """Conditional of mu on the strip |pi_theta - c| < b^-q / 2, as a 1D measure.
-
-    The strip is half-open ([c - w/2, c + w/2)), so the strips centered
-    at (j + 1/2) b^-q tile the line and their conditionals partition the
-    mass exactly.  Coordinates along the strip are pi at theta + 1/4.
-    """
-    if mu.dim != 2:
-        raise ValueError("strip conditional needs a planar measure")
-    width = mu.base ** (-q)
-    centers = mu.centers()
-    t = _line_coordinate(centers, theta)
-    inside = (t >= c - width / 2) & (t < c + width / 2)
-    if not inside.any():
-        raise ValueError(f"empty strip at c={c}")
-    u = _line_coordinate(centers[inside], theta + 0.25)
-    return _line_measure(mu, u, mu.weights[inside])
-
-
 def strip_decomposition(
     mu: GridMeasure, theta: float, q: int
 ) -> list[tuple[int, GridMeasure]]:
     """All nonempty level-q strip conditionals, keyed by strip index.
 
-    Strip j covers pi_theta values in [j b^-q, (j+1) b^-q); the masses
-    add up to the total exactly.
+    Strip j holds the cells whose centers have pi_theta in [j b^-q,
+    (j+1) b^-q), floored by _cell_rows as the conservation tiles floor
+    their values.  One stable sort of the strip index orders the cells,
+    and each strip's conditional is the 1D measure, at mu's level, of
+    pi_{theta + 1/4} over its own slice.  The strips partition the
+    cells, so their masses add up to the total exactly.
     """
     if mu.dim != 2:
         raise ValueError("strip decomposition needs a planar measure")
-    width = mu.base ** (-q)
-    t = _line_coordinate(mu.centers(), theta)
-    strips = np.floor(t / width).astype(np.int64)
-    out = []
-    for j in np.unique(strips):
-        c = (int(j) + 0.5) * width
-        out.append((int(j), fiber_conditional_measure(mu, theta, c, q)))
-    return out
+    centers = mu.centers()
+    strips = _cell_rows(_line_coordinate(centers, theta), mu.base, q)[:, 0]
+    order = np.argsort(strips, kind="stable")
+    strips = strips[order]
+    u = _line_coordinate(centers[order], theta + 0.25)
+    cuts = np.flatnonzero(np.diff(strips)) + 1
+    return [
+        (int(js[0]), _line_measure(mu, us, ws))
+        for js, us, ws in zip(*(np.split(a, cuts) for a in (strips, u, mu.weights[order])))
+    ]
 
 
 @dataclass

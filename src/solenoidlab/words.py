@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,7 +51,6 @@ __all__ = [
     "word_from_str",
     "word_from_index",
     "enumerate_words",
-    "random_words",
     "symbolic_sum",
     "symbolic_sum_derivative",
     "branch_addresses",
@@ -134,11 +133,6 @@ def word_from_index(index: int, b: int, length: int) -> tuple:
 def enumerate_words(b: int, length: int) -> list[tuple]:
     """All words of the given length in lexicographic order."""
     return [word_from_index(i, b, length) for i in range(b**length)]
-
-
-def random_words(b: int, length: int, count: int, stream: SplitMix64) -> list[tuple]:
-    syms = stream.integers(0, count * length, b)
-    return [tuple(syms[i * length : (i + 1) * length]) for i in range(count)]
 
 
 # === scalar fiber sums ===

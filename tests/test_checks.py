@@ -1,4 +1,4 @@
-"""Falsifier probes: condition (H), separation, transversality, mass tables."""
+"""Falsifier probes: condition (H), separation, transversality, atomlessness."""
 
 import math
 
@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solenoidlab.checks import (
+    _continuation_margins,
     _min_pairwise_gap,
     atomlessness_probe,
-    boundary_mass_probe,
     condition_h_probe,
     exponential_separation_test,
     gamma_exception_scan,
     transversality_search,
-    verify_transversality,
 )
 from solenoidlab.fiber import FiberMeasureSpec, build_fiber_measure
 from solenoidlab.params import SystemParams, TrigPoly
@@ -287,12 +286,23 @@ def test_transversality_witness_for_cosine(system_b2):
 
 
 def test_transversality_verify_confirms_witness(system_b2):
+    # the witness's margins stay positive on a 4x finer grid, with twice
+    # the samples drawn from a fresh stream of continuations
     witness = transversality_search(system_b2, 2, 8, 16)
-    a1, a2 = verify_transversality(system_b2, witness, grid_factor=4)
+    a1, a2 = _continuation_margins(
+        system_b2,
+        witness.h,
+        witness.h_prime,
+        witness.a,
+        4 * witness.grid,
+        witness.sample_depth,
+        2 * witness.samples,
+        SplitMix64(1, "transversality.verify"),
+    )
     assert a1 > 0 and a2 > 0
 
 
-# ------------------------------------------------- atomlessness and boundaries
+# ---------------------------------------------------------------- atomlessness
 
 
 def test_atomlessness_masses_shrink(system_b2):
@@ -334,34 +344,3 @@ def test_atomlessness_validation(system_b2):
         atomlessness_probe(system_b2, [0.2], [0.1], [])
     with pytest.raises(ValueError, match="positive"):
         atomlessness_probe(system_b2, [0.2], [0.1], [0, 2])
-
-
-def test_boundary_mass_table(system_b2):
-    mu = build_fiber_measure(FiberMeasureSpec(system_b2, 0.3177, 9, 6))
-    table = boundary_mass_probe(system_b2, 0.3177, [2, 3], [0.5, 0.2], mu=mu)
-    assert table.level == 6
-    assert table.delta2_list == [0.5, 0.2]
-    assert table.decreasing_in_delta2()
-    assert np.all(table.values >= 0) and np.all(table.values <= 1)
-
-    # direct mask oracle for one entry
-    centers = mu.centers()
-    sx = centers[:, 0] * 2**2
-    sy = centers[:, 1] * 2**2
-    dist = np.minimum(np.abs(sx - np.rint(sx)), np.abs(sy - np.rint(sy)))
-    want = int(mu.weights[dist <= 0.2].sum()) / mu.total
-    assert table.values[0, 1] == pytest.approx(want, abs=1e-15)
-
-
-def test_boundary_mass_thinness_guard(system_b2):
-    mu = build_fiber_measure(FiberMeasureSpec(system_b2, 0.3177, 9, 6))
-    with pytest.raises(ValueError, match="thinner than resolution"):
-        boundary_mass_probe(system_b2, 0.3177, [6], [0.01], mu=mu)
-    with pytest.raises(ValueError, match="empty probe table"):
-        boundary_mass_probe(system_b2, 0.3177, [], [0.1], mu=mu)
-
-
-def test_boundary_mass_builds_own_measure(system_b2):
-    table = boundary_mass_probe(system_b2, 0.3177, [2], [0.4, 0.1])
-    assert table.values.shape == (1, 2)
-    assert table.decreasing_in_delta2()

@@ -1,15 +1,11 @@
 """Command-line entry point: exit codes, file naming, headers, determinism."""
 
-import importlib
-
 import pytest
 
+import solenoidlab.entropy as entropy_module
 from solenoidlab import cli as cli_module
 from solenoidlab.cli import EXPERIMENTS, main
 from solenoidlab.config import config_sha256, parse_config
-
-# the package's `entropy` attribute is the function, not the module
-entropy_module = importlib.import_module("solenoidlab.entropy")
 
 FAST_SYSTEM = """
 [system]

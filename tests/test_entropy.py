@@ -23,7 +23,6 @@ from solenoidlab.entropy import (
     entropy_profile,
     mix_measures,
     porosity_check,
-    saturation_scan,
 )
 from solenoidlab.gridmeasure import (
     GridMeasure,
@@ -395,32 +394,6 @@ def test_mix_measures_validation():
         mix_measures(mu, nu, 1, 2)
     with pytest.raises(ValueError):
         mix_measures(mu, mu, 0, 2)
-
-
-def test_saturation_point_mass_concentrated():
-    mu = measure_from_cells(2, 2, 5, {(3, 3): 9})
-    scan = saturation_scan(mu, 0.1, 3, [0.0, 0.25])
-    assert scan.zero.captured == pytest.approx(1.0)
-    assert scan.zero.concentrated
-
-
-def test_saturation_horizontal_line():
-    cells = {(i, 0): 1 for i in range(2**4)}
-    mu = measure_from_cells(2, 2, 4, cells)
-    scan = saturation_scan(mu, 0.1, 3, [0.0, 0.25])
-    # the support is a horizontal segment: captured mass 1 for the angle
-    # whose strip test measures vertical extent
-    best = max(rep.captured for rep in scan.line_table)
-    assert best == pytest.approx(1.0, abs=1e-12)
-    assert not scan.full.saturated
-
-
-def test_saturation_uniform_square_saturated():
-    cells = {(i, j): 1 for i in range(2**4) for j in range(2**4)}
-    mu = measure_from_cells(2, 2, 4, cells)
-    scan = saturation_scan(mu, 0.05, 4, [0.0])
-    assert scan.full.entropy_rate == pytest.approx(2.0, abs=1e-12)
-    assert scan.full.saturated
 
 
 def test_close_map_perturbation_bound():

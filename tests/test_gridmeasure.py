@@ -13,13 +13,11 @@ from solenoidlab.gridmeasure import (
     _cell_rows,
     _reduce_rows,
     _RowSums,
-    component_measure,
     convolve,
     dump_measure,
     load_measure,
     measure_from_cells,
     measure_from_points,
-    rescale_component,
 )
 from solenoidlab.rng import SplitMix64
 
@@ -431,50 +429,6 @@ def test_convolve_row_and_column_give_square():
     sq = convolve(row, col)
     assert sq.ncells == 16
     assert set(sq.weights) == {1}
-
-
-def test_component_measure_restricts():
-    mu = random_measure(29, base=2, level=4, cells=20)
-    parent = mu.coarsen(2)
-    cell = tuple(int(v) for v in parent.idx[0])
-    comp = component_measure(mu, 2, cell)
-    assert comp.total == parent.cells()[cell]
-    factor = mu.base ** (mu.level - 2)
-    for key in comp.cells():
-        assert (key[0] // factor, key[1] // factor) == cell
-
-
-def test_component_measure_empty_cell_error():
-    mu = measure_from_cells(2, 2, 3, {(0, 0): 4})
-    with pytest.raises(ValueError, match="empty component"):
-        component_measure(mu, 1, (3, 3))
-
-
-def test_rescale_component_entropy_relation():
-    mu = random_measure(31, base=2, level=5, cells=25)
-    parent = mu.coarsen(2)
-    cell = tuple(int(v) for v in parent.idx[np.argmax(parent.weights)])
-    comp = component_measure(mu, 2, cell)
-    scaled = rescale_component(comp, 2)
-    assert scaled.level == mu.level - 2
-    assert scaled.total == comp.total
-    # support moved into the unit square
-    assert np.all(scaled.idx >= 0)
-    assert np.all(scaled.idx < mu.base**scaled.level)
-    # cells permute one-for-one
-    assert sorted(scaled.weights) == sorted(comp.weights)
-
-
-def test_rescale_component_spanning_error():
-    mu = measure_from_cells(2, 2, 3, {(0, 0): 1, (7, 7): 1})
-    with pytest.raises(ValueError, match="spans multiple"):
-        rescale_component(mu, 1)
-
-
-def test_point_mass_at_corner_rescales_to_origin():
-    mu = measure_from_cells(2, 2, 3, {(4, 4): 3})
-    scaled = rescale_component(mu, 2)
-    assert scaled.cells() == {(0, 0): 3}
 
 
 def test_empty_measure_rejected():

@@ -31,7 +31,6 @@ from solenoidlab.projection import (
     _sorted_key_entropy,
     conservation_estimate,
     conservation_estimates,
-    fiber_conditional_measure,
     project_measure,
     project_point,
     projection_entropy_sweep,
@@ -129,34 +128,43 @@ def test_project_measure_flags_boundary_hits():
 
 
 def test_fiber_conditional_matches_mask():
-    cells = {(0, 0): 2, (1, 0): 3, (0, 3): 1, (-2, -1): 4, (3, 3): 2}
-    mu = planar_measure(cells)
-    q = 1
-    width = 2.0**-q
-    c = 0.5 * width  # strip j = 0
-    cond = fiber_conditional_measure(mu, 0.0, c, q)
-
-    expected = {}
-    for (k1, k2), w in cells.items():
-        cx, cy = (k1 + 0.5) / 8, (k2 + 0.5) / 8
-        if 0 <= cx < width:
-            j = math.floor(cy * 8)
-            expected[j] = expected.get(j, 0) + w
-    assert cond.dim == 1
-    assert cond.level == mu.level
-    assert cond.cells() == expected
-
-
-def test_fiber_conditional_empty_strip():
-    mu = planar_measure({(0, 0): 1})
-    with pytest.raises(ValueError, match="empty strip"):
-        fiber_conditional_measure(mu, 0.0, 3.9, 2)
+    # every strip conditional against a pure-Python oracle: the strip of a
+    # cell floors its center's pi_theta, the cell along the strip floors
+    # pi_{theta + 1/4}, and the tally adds mu's own to the centers within
+    # BOUNDARY_EPS of a cell edge along the strip
+    b, n, theta = 3, 3, 0.17
+    rng = np.random.default_rng(11)
+    cells = {}
+    for _ in range(150):
+        k = (int(rng.integers(-40, 40)), int(rng.integers(-40, 40)))
+        cells[k] = cells.get(k, 0) + int(rng.integers(1, 9))
+    mu = measure_from_cells(b, 2, n, cells, box_radius=2)
+    mu.boundary_ambiguous = 3
+    cos_t, sin_t = math.cos(2 * math.pi * theta), math.sin(2 * math.pi * theta)
+    cos_u, sin_u = math.cos(2 * math.pi * (theta + 0.25)), math.sin(2 * math.pi * (theta + 0.25))
+    for q in (1, 2):
+        expected, tally = {}, {}
+        for (k1, k2), w in cells.items():
+            cx, cy = (k1 + 0.5) * (1.0 / b**n), (k2 + 0.5) * (1.0 / b**n)
+            j = math.floor((cx * cos_t + cy * sin_t) * float(b**q))
+            u = (cx * cos_u + cy * sin_u) * float(b**n)
+            strip = expected.setdefault(j, {})
+            strip[math.floor(u)] = strip.get(math.floor(u), 0) + w
+            near = abs(round(u) - u) < gridmeasure.BOUNDARY_EPS * b**n
+            tally[j] = tally.get(j, mu.boundary_ambiguous) + near
+        parts = strip_decomposition(mu, theta, q)
+        assert [j for j, _ in parts] == sorted(expected)
+        assert len(parts) > 1
+        for j, cond in parts:
+            assert (cond.dim, cond.level, cond.base) == (1, n, b)
+            assert cond.cells() == expected[j]
+            assert cond.boundary_ambiguous == tally[j]
 
 
 def test_fiber_conditional_needs_planar():
     line = measure_from_cells(2, 1, 2, {0: 1})
     with pytest.raises(ValueError, match="planar"):
-        fiber_conditional_measure(line, 0.0, 0.0, 1)
+        strip_decomposition(line, 0.0, 1)
 
 
 def test_strip_decomposition_partitions_mass():
@@ -313,19 +321,22 @@ def manual_rates(params, x, n, q, depth, theta=0.0):
 
 
 def test_streamed_estimator_matches_gridmeasure_route():
-    params = SystemParams(2, 0.5, math.sqrt(2) - 1, TrigPoly(0.0, (1.0,), ()))
-    x, n, depth = 0.3177, 5, 8
-    for q in (2, 3):
-        est = conservation_estimate(params, x, 0.0, n, q, depth)
-        alpha, beta, upsilon, table = manual_rates(params, x, n, q, depth)
-        assert est.alpha == pytest.approx(alpha, abs=1e-12)
-        assert est.beta == pytest.approx(beta, abs=1e-12)
-        assert est.upsilon == pytest.approx(upsilon, abs=1e-12)
-        got = {j: (mass, rate) for j, mass, rate in est.strip_table}
-        assert set(got) == set(table)
-        for j in table:
-            assert got[j][0] == pytest.approx(table[j][0], abs=1e-15)
-            assert got[j][1] == pytest.approx(table[j][1], abs=1e-12)
+    # b=3 too: at an odd base floor(t / b**-q) and floor(t * b**q) can
+    # differ at a strip edge, and both routes must floor as the tiles do
+    x = 0.3177
+    for b, gamma_abs, n, depth in ((2, 0.5, 5, 8), (3, 0.55, 4, 9)):
+        params = SystemParams(b, gamma_abs, math.sqrt(2) - 1, TrigPoly(0.0, (1.0,), ()))
+        for q in (2, 3):
+            est = conservation_estimate(params, x, 0.0, n, q, depth)
+            alpha, beta, upsilon, table = manual_rates(params, x, n, q, depth)
+            assert est.alpha == pytest.approx(alpha, abs=1e-12)
+            assert est.beta == pytest.approx(beta, abs=1e-12)
+            assert est.upsilon == pytest.approx(upsilon, abs=1e-12)
+            got = {j: (mass, rate) for j, mass, rate in est.strip_table}
+            assert set(got) == set(table)
+            for j in table:
+                assert got[j][0] == pytest.approx(table[j][0], abs=1e-15)
+                assert got[j][1] == pytest.approx(table[j][1], abs=1e-12)
 
 
 def test_streamed_alpha_is_theta_independent():

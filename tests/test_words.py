@@ -18,7 +18,6 @@ from solenoidlab.words import (
     cocycle_residual,
     difference_residual,
     enumerate_words,
-    random_words,
     sampled_symbol_block,
     scale_hat,
     scale_tilde,
@@ -299,15 +298,6 @@ def test_prefix_tree_kernel_matches_flat_and_scalar(b, prefix_len, suffix_len, d
             assert abs(d - symbolic_sum_derivative(p, x, word)) < 1e-12
         else:
             assert v == 0 and d == 0
-
-
-def test_random_words_shape_and_determinism():
-    s = SplitMix64(42, "words")
-    ws = random_words(3, 5, 10, s)
-    assert len(ws) == 10
-    assert all(len(w) == 5 for w in ws)
-    assert all(0 <= sym < 3 for w in ws for sym in w)
-    assert ws == random_words(3, 5, 10, SplitMix64(42, "words"))
 
 
 def test_sampled_symbol_block_split_invariance():
