@@ -2,7 +2,7 @@
 
 Flags beat config values, which beat defaults.  The thread count (flag,
 config or SOLENOID_THREADS) caps the workers that fill and bin fiber
-value tiles; unset, every CPU of the process works.  Outputs are the
+tiles; unset or 0, every CPU of the process works.  Outputs are the
 same bits on any thread count.
 Every output file starts with a comment header carrying the config hash
 and seed, and all randomness is derived from that single seed through
@@ -49,20 +49,6 @@ from .words import (
     scale_tilde,
     word_from_str,
     word_to_str,
-)
-
-EXPERIMENTS = (
-    "attractor",
-    "dim-table",
-    "fiber-entropy",
-    "porosity",
-    "projection-sweep",
-    "conservation",
-    "condition-h",
-    "separation",
-    "transversality",
-    "rotation",
-    "verify-suite",
 )
 
 __all__ = ["EXPERIMENTS", "main"]
@@ -441,11 +427,13 @@ RUNNERS: dict[str, Callable] = {
     "verify-suite": _run_verify_suite,
 }
 
+EXPERIMENTS = tuple(RUNNERS)
+
 
 def _resolve_threads(cli_value: Optional[int], cfg: RunConfig) -> Optional[int]:
     """Worker cap from flag, config or SOLENOID_THREADS; None (every CPU) if unset."""
     if cli_value:
-        return max(1, cli_value)
+        return cli_value
     if cfg.thread_count:
         return cfg.thread_count
     env = os.environ.get("SOLENOID_THREADS", "")
@@ -471,6 +459,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument("--out", type=Path, help="output directory (overrides config)")
     args = parser.parse_args(argv)
+    if args.threads is not None and args.threads < 0:
+        print("solenoidlab: --threads cannot be negative", file=sys.stderr)
+        return 2
 
     try:
         text = args.config.read_text() if args.config else ""

@@ -209,7 +209,7 @@ def _assemble(values: dict, where: dict, warnings: list[str]) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid system: {exc}") from exc
 
-    for key in ("max_words", "max_points", "sample_count", "pair_budget"):
+    for key in ("max_words", "max_points", "sample_count", "pair_budget", "pairs"):
         if values[key] < 1:
             raise ConfigError(f"{where[key]}: {key} must be positive")
     if values["thread_count"] < 0:

@@ -9,28 +9,27 @@ fiction and the build refuses to run.
 
 Exhaustive mode enumerates all b^N words (budget-capped); sampled mode
 draws a stratified word sample from a named counter-mode stream.  Both
-evaluate word blocks with the prefix-tree kernel of the words module,
+evaluate tiles of words with the prefix-tree kernel of the words module,
 which grows S_n = S_{n-1} + gamma^{n-1} phi(a_n) once per distinct
-prefix: an exhaustive block is a leaf range of the depth-N tree, a
-sampled block a range of strata grown as the tree, repeated by quota and
-continued by per-sample random suffix digits.  Each value block is filled
-in tiles of about 2^16 rows by the calling thread plus one thread per
-further worker (threads caps the workers; by default there is one per
-CPU the process may run on); tiles write disjoint slices and compute the
-same bits on any worker count.  The thread that filled a tile also bins
-it and reduces it to an integer count table, and the calling thread only
-merges those tables, by addition, so the measure is the same on any
-worker count too.
+prefix: an exhaustive tile is a leaf range of the depth-N tree, a
+sampled tile a range of strata grown as the tree, repeated by quota and
+continued by per-sample random suffix digits.  A stream of about 2^16-row
+tiles is handed out by one counter to the calling thread plus one thread
+per further worker (threads caps the workers; by default there is one per
+CPU the process may run on), and a tile holds the same bits on any worker
+count.  The thread that filled a tile also bins it and reduces it to an
+integer count table, which it folds into the running sums under one
+lock; integer sums do not depend on the order the tiles finish in, so
+the measure is the same on any worker count too.
 """
 
 from __future__ import annotations
 
 import os
-import queue
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -51,13 +50,12 @@ __all__ = [
     "FiberMeasureSpec",
     "build_fiber_measure",
     "refine_fiber_measure",
-    "fiber_value_chunks",
+    "map_fiber_tiles",
     "certified_level",
     "depth_for_resolution",
 ]
 
 EXHAUSTIVE_WORD_BUDGET = 2**24
-_BLOCK_TARGET = 1 << 18
 # rows a tile fills: its working set stays in a core's cache, and tiles
 # much smaller than this repay their per-level Python work poorly
 _TILE_ROWS = 1 << 16
@@ -153,93 +151,27 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-class _Helpers:
-    """Up to count threads that take tiles beside the calling thread.
-
-    run() hands out the tiles of one block in order from one shared
-    counter.  A thread is started the first time a block has a tile for
-    it and kept until close(), so a stream of blocks starts its threads
-    once and each keeps one malloc arena (a new thread per block can
-    start before the last one has released its arena, and arenas then
-    pile up).  A block of one tile runs inline and starts none.  The
-    first error stops the hand-out of tiles and is raised by run().
-    """
-
-    def __init__(self, count: int):
-        self._count = count
-        self._jobs = queue.SimpleQueue()
-        self._done = threading.Semaphore(0)
-        self._threads: list = []
-
-    def _serve(self):
-        while (job := self._jobs.get()) is not None:
-            job()
-            self._done.release()
-
-    def run(self, count: int, fill) -> None:
-        """Run fill(i) for i in range(count), on the calling thread and the helpers."""
-        todo = iter(range(count))
-        lock = threading.Lock()
-        errors = []
-
-        def drain():
-            try:
-                while True:
-                    with lock:
-                        i = next(todo, None)
-                    if i is None:
-                        return
-                    fill(i)
-            except BaseException as exc:  # raised again on the calling thread
-                with lock:
-                    errors.append(exc)
-                    for _ in todo:
-                        pass
-
-        n = min(self._count, count - 1)
-        while len(self._threads) < n:
-            t = threading.Thread(target=self._serve, daemon=True)
-            t.start()
-            self._threads.append(t)
-        for _ in range(n):
-            self._jobs.put(drain)
-        drain()
-        for _ in range(n):
-            self._done.acquire()
-        if errors:
-            raise errors[0]
-
-    def close(self) -> None:
-        for _ in self._threads:
-            self._jobs.put(None)
-        for t in self._threads:
-            t.join()
-        self._threads = []
-
-
-def fiber_value_chunks(
+def map_fiber_tiles(
     spec: FiberMeasureSpec,
-    block_words: int = _BLOCK_TARGET,
-    tile_map: Optional[Callable[[np.ndarray, int], object]] = None,
+    tile_map: Callable[[np.ndarray, int], object],
+    fold: Callable[[object], None],
     threads: Optional[int] = None,
-) -> Iterator:
-    """Yield the branch-sum values of the spec's word list in fixed blocks.
+) -> None:
+    """Fold tile_map over tiles of the branch sums of the spec's word list.
 
-    The block boundaries depend only on the spec, never on the consumer,
-    so any accumulation over the chunks is replayable.  Each block is
-    filled in tiles of about _TILE_ROWS rows, a tile being a leaf range of
-    the depth-N tree (exhaustive) or a strata range (sampled).  Tiles run
-    on the calling thread and on one more thread per other worker; there
-    are threads workers, or one per CPU of the process when threads is
-    None.  Every node of the tree gets the same float operations in any
-    range it is grown in, and counter-mode draws do not depend on the
-    range, so the values are the same bits on any number of workers.
-
-    With a tile_map, the thread that filled a tile calls
-    tile_map(values, row0) on it at once, values being the tile's slice
-    of the block and row0 the index of its first row in the whole word
-    list, and each block yields the list of the results in tile order.
-    Without one, each block yields its values.
+    A tile is a leaf range of the depth-N tree (exhaustive) or a strata
+    range (sampled) of about _TILE_ROWS rows.  One shared counter hands
+    the tiles out to the calling thread and to threads started for this
+    call: threads workers in all, or one per CPU of the process when
+    threads is None, and never more than there are tiles.  The thread that
+    filled a tile calls tile_map(values, row0) on the tile's own array,
+    row0 being the index of its first row in the whole word list, and
+    fold(result) under the one lock of the call.  Every node of the tree
+    gets the same float operations in any range it is grown in, and
+    counter-mode draws do not depend on the range, so each tile holds the
+    same bits on any number of workers; tiles finish in any order.  The
+    first error stops the hand-out and is raised once every thread has
+    joined.
     """
     spec.validate()
     if threads is not None and threads < 1:
@@ -248,7 +180,6 @@ def fiber_value_chunks(
     if spec.mode == "exhaustive":
         # one unit per word: the leaves of the depth-N tree
         units = count = p.b**spec.depth
-        rows_per_unit = 1
 
         def sums(a, c, out):
             _branch_sums(p, spec.x, spec.depth, a, c, out=out)
@@ -256,8 +187,7 @@ def fiber_value_chunks(
     else:
         # one unit per stratum, holding base_quota or base_quota + 1 samples
         count = spec.sample_count
-        s, units, base_quota = stratum_layout(p.b, spec.depth, count)
-        rows_per_unit = base_quota + 1
+        s, units, _ = stratum_layout(p.b, spec.depth, count)
         stream = SplitMix64(spec.seed, "fiber.samples")
 
         def sums(a, c, out):
@@ -266,29 +196,43 @@ def fiber_value_chunks(
             )
             _branch_sums(p, spec.x, s, a, c, quotas, suffix, out=out)
 
-    # a block holds at most block_words rows, a tile about _TILE_ROWS
-    per_block = max(1, block_words // rows_per_unit)
-    per_tile = max(1, _TILE_ROWS * units // count)
-    cpus = _cpus()
-    helpers = _Helpers(min(threads or cpus, cpus) - 1)
-    try:
-        for lo in range(0, units, per_block):
-            hi = min(units, lo + per_block)
-            cuts = list(range(lo, hi, per_tile)) + [hi]
-            rows = _first_samples(count, units, cuts).tolist()
-            block = np.empty(rows[-1] - rows[0], dtype=np.complex128)
-            results = [None] * (len(cuts) - 1)
+    cuts = list(range(0, units, max(1, _TILE_ROWS * units // count))) + [units]
+    rows = _first_samples(count, units, cuts).tolist()
+    todo = iter(range(len(cuts) - 1))
+    lock = threading.Lock()
+    errors = []
 
-            def fill(i):
-                values = block[rows[i] - rows[0] : rows[i + 1] - rows[0]]
+    def drain():
+        try:
+            while True:
+                with lock:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                values = np.empty(rows[i + 1] - rows[i], dtype=np.complex128)
                 sums(cuts[i], cuts[i + 1], values)
-                if tile_map is not None:
-                    results[i] = tile_map(values, rows[i])
+                result = tile_map(values, rows[i])
+                with lock:
+                    fold(result)
+        except BaseException as exc:  # raised again on the calling thread
+            with lock:
+                errors.append(exc)
+                for _ in todo:
+                    pass
 
-            helpers.run(len(results), fill)
-            yield block if tile_map is None else results
-    finally:
-        helpers.close()
+    # started once per call, not per tile: each then keeps one malloc arena
+    cpus = _cpus()
+    workers = [
+        threading.Thread(target=drain, daemon=True)
+        for _ in range(min(threads or cpus, cpus, len(cuts) - 1) - 1)
+    ]
+    for t in workers:
+        t.start()
+    drain()
+    for t in workers:
+        t.join()
+    if errors:
+        raise errors[0]
 
 
 def build_fiber_measure(
@@ -298,23 +242,25 @@ def build_fiber_measure(
 
     Integer counts per cell; total equals the word count of the spec.
     Each tile of values is binned and reduced on the thread that filled
-    it, with threads workers (every CPU of the process when None); the
-    calling thread merges the integer tables, so the result is the same
-    on any number of workers.  The measure carries spec as its provenance.
+    it (map_fiber_tiles, threads workers, every CPU of the process when
+    None), and its integer table and boundary tally are added to the
+    running sums under the tile lock, so the result is the same on any
+    number of workers.  The measure carries spec as its provenance.
     """
-    spec.validate()
     b, level = spec.params.b, spec.resolution
+    sums = _RowSums()
+    flagged = 0
 
     def bin_tile(values, row0):
         rows, near = _bin_points(values, b, level)
         return _reduce_rows(rows), near
 
-    sums = _RowSums()
-    flagged = 0
-    for parts in fiber_value_chunks(spec, tile_map=bin_tile, threads=threads):
-        for part, near in parts:
-            sums.add_part(*part)
-            flagged += near
+    def fold(result):
+        nonlocal flagged
+        sums.add_part(*result[0])
+        flagged += result[1]
+
+    map_fiber_tiles(spec, bin_tile, fold, threads)
     idx, cnt = sums.table()
     return GridMeasure(
         b, 2, level, idx, cnt, spec.params.box_radius(), flagged, provenance=spec

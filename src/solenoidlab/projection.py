@@ -10,15 +10,17 @@ The conservation estimator compares a planar entropy rate against the
 projected rate plus the strip-conditional rate.  It streams the raw
 branch sums instead of going through a binned planar table, because the
 planar table at deep levels can be enormous while the three statistics
-only need integer histograms of cell weights.  The planar rate sorts one
-int64 key per word in place and counts the run lengths of equal keys
-chunk by chunk; the projected and strip tables are reduced tile by tile,
-on the threads that fill the tiles, through the grid module's row
-reduce, which picks bincount or sort from the sizes it sees, so there is
-no separate dense or sparse mode here.  All three rates then go through
-the entropy module's one histogram entropy, so their bits do not depend
-on how the words were split into tiles, blocks or chunks.  The estimator
-keeps no boundary tally.
+only need integer histograms of cell weights.  The thread that filled a
+tile of sums writes the tile's int64 planar keys into its own slice of
+one key array, and reduces the tile's projected and strip rows through
+the grid module's row reduce, which picks bincount or sort from the
+sizes it sees, so there is no separate dense or sparse mode here; the
+reduced tables are folded into running sums under the tile lock.  The
+planar rate then sorts the keys in place and counts the run lengths of
+equal keys chunk by chunk.  All three rates go through the entropy
+module's one histogram entropy, so their bits do not depend on how the
+words were split into tiles or chunks, nor on the order the tiles
+finish in.  The estimator keeps no boundary tally.
 
 strip_decomposition is the same strip split on a binned planar measure,
 the reference the streamed estimator is tested against.  It floors cell
@@ -36,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .entropy import _group_entropies, _histogram_entropies, _weights_entropy, entropy
-from .fiber import FiberMeasureSpec, build_fiber_measure, fiber_value_chunks
+from .fiber import FiberMeasureSpec, build_fiber_measure, map_fiber_tiles
 from .gridmeasure import (
     GridMeasure, _cell_rows, _reduce_rows, _row_keys, _RowSums, measure_from_points
 )
@@ -264,10 +266,11 @@ def conservation_estimates(
     L_{n-q}) over level-q strips.  Works directly on the streamed branch
     sums, so deep levels never materialize a planar table, and all q
     values share the single pass.  The thread that filled a tile of sums
-    (fiber_value_chunks, threads workers, every CPU when None) writes its
-    planar keys and reduces its projected and strip rows; the calling
-    thread merges those integer tables and sorts the keys, so the rates
-    are the same bits on any number of workers.
+    (map_fiber_tiles, threads workers, every CPU when None) writes its
+    planar keys and reduces its projected and strip rows, and folds those
+    integer tables into the running sums under the tile lock; the keys
+    are sorted once all tiles are in, so the rates are the same bits on
+    any number of workers.
     """
     qs = sorted(set(int(q) for q in q_list))
     if not qs:
@@ -306,13 +309,14 @@ def conservation_estimates(
 
     beta_sums = _RowSums()
     strip_sums = {q: _RowSums() for q in qs}
-    for parts in fiber_value_chunks(
-        spec, block_words=1 << 21, tile_map=reduce_tile, threads=threads
-    ):
-        for beta_part, strip_parts in parts:
-            beta_sums.add_part(*beta_part)
-            for q, part in strip_parts.items():
-                strip_sums[q].add_part(*part)
+
+    def fold(result):
+        beta_part, strip_parts = result
+        beta_sums.add_part(*beta_part)
+        for q, part in strip_parts.items():
+            strip_sums[q].add_part(*part)
+
+    map_fiber_tiles(spec, reduce_tile, fold, threads)
     beta_w = beta_sums.table()[1]
     if int(beta_w.sum()) != total:
         raise RuntimeError("stream length mismatch")

@@ -26,8 +26,8 @@ row over per-row suffix digits.  The same level loop gives d/dx S with
 drive phi' and weights gamma^{n-1} / b^n.  Batch and scalar sums agree to
 machine accuracy.  A row's sum has the same bits whatever leaf range it
 is grown in, and sampled suffix digits are counter-mode draws per
-stratum, so the fiber module fills value blocks from independent tiles
-on several threads, each writing its own slice of the block.
+stratum, so the fiber module fills independent tiles of a word list on
+several threads, each into its own array, in any order.
 """
 
 from __future__ import annotations

@@ -149,6 +149,17 @@ def test_thread_count_does_not_change_artifacts(tmp_path, capsys):
     assert (a / "fiber-entropy-0.csv").read_bytes() == (b / "fiber-entropy-0.csv").read_bytes()
 
 
+def test_threads_flag_cannot_be_negative(tmp_path, capsys, monkeypatch):
+    # refused before any run, as a negative thread_count is; 0 means unset
+    assert run(tmp_path, FAST_SYSTEM, ["fiber-entropy", "--threads", "-3"]) == 2
+    assert "--threads cannot be negative" in capsys.readouterr().err
+    assert not (tmp_path / "fiber-entropy-0.csv").exists()
+    monkeypatch.setenv("SOLENOID_THREADS", "3")
+    cfg = parse_config("thread_count = 2\n")
+    assert cli_module._resolve_threads(0, cfg) == 2
+    assert cli_module._resolve_threads(0, parse_config("")) == 3
+
+
 def test_env_threads_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SOLENOID_THREADS", "2")
     code = run(tmp_path, FAST_SYSTEM, ["fiber-entropy"])

@@ -118,6 +118,9 @@ def test_semantic_validation():
         parse_config("pair_budget = 0\n")
     with pytest.raises(ConfigError, match="thread_count cannot be negative"):
         parse_config("thread_count = -1\n")
+    for bad in ("0", "-2"):  # conservation divides by the pair count
+        with pytest.raises(ConfigError, match="line 1: pairs must be positive"):
+            parse_config(f"pairs = {bad}\n")
     with pytest.raises(ConfigError, match="mode must be"):
         parse_config("mode = turbo\n")
     with pytest.raises(ConfigError, match="cloud_mode must be"):

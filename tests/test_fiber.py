@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from solenoidlab.fiber import (
     build_fiber_measure,
     certified_level,
     depth_for_resolution,
-    fiber_value_chunks,
+    map_fiber_tiles,
     refine_fiber_measure,
 )
 from solenoidlab.gridmeasure import _bin_points, _reduce_rows, dump_measure, load_measure
@@ -132,23 +133,65 @@ def test_support_inside_certified_box(system_b3):
     assert np.all(np.abs(centers) <= radius)
 
 
+def one_range(spec):
+    """The spec's branch sums from one call of the kernel over the whole word list."""
+    p, x = spec.params, spec.x
+    if spec.mode == "exhaustive":
+        return _branch_sums(p, x, spec.depth, 0, p.b**spec.depth)
+    s, strata, _ = stratum_layout(p.b, spec.depth, spec.sample_count)
+    stream = SplitMix64(spec.seed, "fiber.samples")
+    _, quotas, suffix = _stratified_suffixes(
+        p.b, spec.depth, spec.sample_count, stream, 0, strata
+    )
+    return _branch_sums(p, x, s, 0, strata, quotas, suffix)
+
+
+def tile_values(spec):
+    """The values map_fiber_tiles hands to tile_map, placed by row0, and its tiles.
+
+    The tiles come back as sorted (row0, rows) pairs; rows no tile wrote
+    stay NaN.
+    """
+    placed = np.full(spec.total_words, np.nan, dtype=np.complex128)
+    tiles = []
+
+    def fold(result):
+        row0, values = result
+        placed[row0 : row0 + len(values)] = values
+        tiles.append((row0, len(values)))
+
+    map_fiber_tiles(spec, lambda values, row0: (row0, values), fold)
+    return placed, sorted(tiles)
+
+
+def assert_partition(tiles, total):
+    # every row of [0, total) lies in exactly one nonempty tile
+    assert all(rows > 0 for _, rows in tiles)
+    ends = [row0 + rows for row0, rows in tiles]
+    assert [row0 for row0, _ in tiles] == [0] + ends[:-1]
+    assert ends[-1] == total
+
+
 @pytest.mark.parametrize(
     "mode,sample_count",
     # 50 samples at depth 7: 32 strata of 1 or 2 words, two suffix digits,
-    # and blocks of 6 strata
+    # and _TILE_ROWS = 13 cuts tiles of 8 strata
     [("exhaustive", 0), ("sampled", 50)],
     ids=["exhaustive", "sampled"],
 )
-def test_value_chunks_concatenate_to_full_set(system_b2, mode, sample_count):
+def test_value_chunks_concatenate_to_full_set(
+    system_b2, monkeypatch, mode, sample_count
+):
     spec = FiberMeasureSpec(
         system_b2, 0.55, 7, 4, mode=mode, sample_count=sample_count, seed=3
     )
-    chunks = list(fiber_value_chunks(spec, block_words=13))
-    assert len(chunks) > 2
-    values = np.concatenate(chunks)
-    assert len(values) == spec.total_words
-    whole = np.concatenate(list(fiber_value_chunks(spec)))
-    assert np.array_equal(values, whole)
+    whole, one = tile_values(spec)
+    assert one == [(0, spec.total_words)]
+    monkeypatch.setattr(fiber, "_TILE_ROWS", 13)
+    values, tiles = tile_values(spec)
+    assert len(tiles) > 2
+    assert_partition(tiles, spec.total_words)
+    assert np.array_equal(values.view(np.uint64), whole.view(np.uint64))
 
 
 @given(
@@ -157,60 +200,42 @@ def test_value_chunks_concatenate_to_full_set(system_b2, mode, sample_count):
     count=st.integers(1, 400),
     sampled=st.booleans(),
     tile_rows=st.integers(1, 9),
-    block_words=st.integers(1, 60),
-    cpus=st.integers(1, 2),
-)
-@settings(max_examples=60, deadline=None)
-def test_tiled_blocks_match_one_range(
-    b, depth, count, sampled, tile_rows, block_words, cpus
-):
-    # tiny tiles split every block, and sampled strata hold uneven quotas
-    # when count % strata != 0; the values must be the one-range kernel's bits
-    while b**depth > 600:  # one-row tiles: keep the tile count small
-        depth -= 1
-    p = SystemParams(b, 0.5, 0.3, TrigPoly(0.1, (1.0, 0.4), (0.2,)))
-    x = 0.37
-    if sampled:
-        spec = FiberMeasureSpec(
-            p, x, depth, 0, mode="sampled", sample_count=count, seed=11
-        )
-        s, strata, base_quota = stratum_layout(b, depth, count)
-        stream = SplitMix64(spec.seed, "fiber.samples")
-        _, quotas, suffix = _stratified_suffixes(b, depth, count, stream, 0, strata)
-        whole = _branch_sums(p, x, s, 0, strata, quotas, suffix)
-        per_block = max(1, block_words // (base_quota + 1))
-        sizes = [
-            int(quotas[lo : lo + per_block].sum()) for lo in range(0, strata, per_block)
-        ]
-    else:
-        spec = FiberMeasureSpec(p, x, depth, 0)
-        whole = _branch_sums(p, x, depth, 0, b**depth)
-        sizes = [
-            len(whole[lo : lo + block_words]) for lo in range(0, b**depth, block_words)
-        ]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fiber, "_TILE_ROWS", tile_rows)
-        mp.setattr(fiber, "_cpus", lambda: cpus)
-        chunks = list(fiber_value_chunks(spec, block_words=block_words))
-    assert [len(c) for c in chunks] == sizes
-    assert np.array_equal(np.concatenate(chunks).view(np.uint64), whole.view(np.uint64))
-
-
-@given(
-    b=st.integers(2, 4),
-    depth=st.integers(1, 7),
-    count=st.integers(1, 400),
-    sampled=st.booleans(),
-    tile_rows=st.integers(1, 9),
-    block_words=st.integers(1, 60),
     cpus=st.integers(1, 3),
 )
 @settings(max_examples=60, deadline=None)
-def test_tile_map_matches_unmapped_values(
-    b, depth, count, sampled, tile_rows, block_words, cpus
-):
-    # each tile's map sees its own values and the index of its first row,
-    # and the mapped build equals one reduction of all unmapped values
+def test_tiles_match_one_range(b, depth, count, sampled, tile_rows, cpus):
+    # tiny tiles, and sampled strata that hold uneven quotas when
+    # count % strata != 0: the row0 values partition the word list, and
+    # the tiles hold the one-range kernel's bits
+    while b**depth > 600:  # one-row tiles: keep the tile count small
+        depth -= 1
+    p = SystemParams(b, 0.5, 0.3, TrigPoly(0.1, (1.0, 0.4), (0.2,)))
+    if sampled:
+        spec = FiberMeasureSpec(
+            p, 0.37, depth, 0, mode="sampled", sample_count=count, seed=11
+        )
+    else:
+        spec = FiberMeasureSpec(p, 0.37, depth, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fiber, "_TILE_ROWS", tile_rows)
+        mp.setattr(fiber, "_cpus", lambda: cpus)
+        values, tiles = tile_values(spec)
+    assert_partition(tiles, spec.total_words)
+    assert np.array_equal(values.view(np.uint64), one_range(spec).view(np.uint64))
+
+
+@given(
+    b=st.integers(2, 4),
+    depth=st.integers(1, 7),
+    count=st.integers(1, 400),
+    sampled=st.booleans(),
+    tile_rows=st.integers(1, 9),
+    cpus=st.integers(1, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_tile_map_matches_unmapped_values(b, depth, count, sampled, tile_rows, cpus):
+    # the build that bins and reduces each tile on its own thread equals
+    # one reduction of all the one-range values
     while b**depth > 600:
         depth -= 1
     p = SystemParams(b, 0.5, 0.3, TrigPoly(0.1, (1.0, 0.4), (0.2,)))
@@ -221,26 +246,12 @@ def test_tile_map_matches_unmapped_values(
         )
     else:
         spec = FiberMeasureSpec(p, 0.37, depth, level)
-    whole = np.concatenate(list(fiber_value_chunks(spec)))
-    rows, near = _bin_points(whole, b, level)
+    rows, near = _bin_points(one_range(spec), b, level)
     idx, w = _reduce_rows(rows)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fiber, "_TILE_ROWS", tile_rows)
         mp.setattr(fiber, "_cpus", lambda: cpus)
-        blocks = list(
-            fiber_value_chunks(
-                spec, block_words, tile_map=lambda v, row0: (row0, v.copy())
-            )
-        )
         mu = build_fiber_measure(spec)
-    placed = np.full(len(whole), np.nan, dtype=np.complex128)
-    for tiles in blocks:
-        for row0, values in tiles:
-            placed[row0 : row0 + len(values)] = values
-    assert [row0 for tiles in blocks for row0, _ in tiles] == sorted(
-        row0 for tiles in blocks for row0, _ in tiles
-    )
-    assert np.array_equal(placed.view(np.uint64), whole.view(np.uint64))
     assert np.array_equal(mu.idx, idx) and np.array_equal(mu.weights, w)
     assert mu.boundary_ambiguous == near
 
@@ -248,35 +259,40 @@ def test_tile_map_matches_unmapped_values(
 @pytest.mark.parametrize("mode,sample_count", [("exhaustive", 0), ("sampled", 2000)])
 def test_tiles_under_thread_stress(system_b3, monkeypatch, mode, sample_count):
     # more threads than cores and a short switch interval: each tile
-    # must still be taken once and written to its own slice
+    # must still be taken once, filled into its own array and folded once
     spec = FiberMeasureSpec(
         system_b3, 0.21, 7, 3, mode=mode, sample_count=sample_count, seed=4
     )
-    whole = np.concatenate(list(fiber_value_chunks(spec, block_words=400)))
+    whole = one_range(spec)
+    reference = build_fiber_measure(spec, threads=1)
     monkeypatch.setattr(fiber, "_TILE_ROWS", 3)
     monkeypatch.setattr(fiber, "_cpus", lambda: 6)
+    counted = 0
+
+    def count(rows):  # a read-modify-write that an unlocked fold would lose
+        nonlocal counted
+        seen = counted
+        time.sleep(0)  # let another thread run between the read and the write
+        counted = seen + rows
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        chunks = list(fiber_value_chunks(spec, block_words=400))
-        mapped = list(
-            fiber_value_chunks(
-                spec, block_words=400, tile_map=lambda v, row0: (row0, v.copy())
-            )
-        )
+        values, tiles = tile_values(spec)
+        mu = build_fiber_measure(spec)
+        map_fiber_tiles(spec, lambda values, row0: len(values), count)
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(np.concatenate(chunks).view(np.uint64), whole.view(np.uint64))
-    tiles = [tile for block in mapped for tile in block]
-    assert [row0 for row0, _ in tiles] == np.cumsum([0] + [len(v) for _, v in tiles])[:-1].tolist()
-    assert np.array_equal(
-        np.concatenate([v for _, v in tiles]).view(np.uint64), whole.view(np.uint64)
-    )
+    assert counted == spec.total_words
+    assert_partition(tiles, spec.total_words)
+    assert np.array_equal(values.view(np.uint64), whole.view(np.uint64))
+    assert mu.equals(reference)
+    assert mu.boundary_ambiguous == reference.boundary_ambiguous
 
 
 def test_tile_error_reaches_the_caller(system_b2, monkeypatch):
-    # a tile that fails on a helper thread fails the block, not silently,
-    # whether its values or its map raise
+    # a tile that fails on a worker thread fails the call, not silently,
+    # whether its values, its map or its fold raise
     def failing(params, x, prefix_len, lo, hi, *rest, **kw):
         if lo >= 40:
             raise ArithmeticError("tile failed")
@@ -288,25 +304,32 @@ def test_tile_error_reaches_the_caller(system_b2, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(fiber, "_branch_sums", failing)
         with pytest.raises(ArithmeticError, match="tile failed"):
-            list(fiber_value_chunks(spec, block_words=64))
+            build_fiber_measure(spec)
 
-    # no tile is handed out after an error: inline, the tiles after the
-    # failing one are never mapped, and no block after it is started
+    # no tile is handed out after an error: with one worker, the tiles
+    # after the failing one are never mapped, and with two, the other
+    # worker, slowed to a millisecond a tile, stops long before the 16th
     for cpus in (1, 2):
-        mapped = []
+        for where in ("map", "fold"):
+            mapped = []
 
-        def failing_map(values, row0):
-            mapped.append(row0)
-            if row0 == 8:
-                raise ArithmeticError("map failed")
-            return row0
+            def record(values, row0):
+                mapped.append(row0)
+                if where == "map" and row0 == 8:
+                    raise ArithmeticError("map failed")
+                if cpus == 2 and row0 != 8:
+                    time.sleep(1e-3)
+                return row0
 
-        monkeypatch.setattr(fiber, "_cpus", lambda: cpus)
-        with pytest.raises(ArithmeticError, match="map failed"):
-            list(fiber_value_chunks(spec, block_words=64, tile_map=failing_map))
-        assert 8 in mapped and max(mapped) < 64
-        if cpus == 1:
-            assert mapped == [0, 8]
+            def fold(row0):
+                if row0 == 8:
+                    raise ArithmeticError("fold failed")
+
+            monkeypatch.setattr(fiber, "_cpus", lambda: cpus)
+            with pytest.raises(ArithmeticError, match=f"{where} failed"):
+                map_fiber_tiles(spec, record, fold)
+            assert 8 in mapped and len(set(mapped)) == len(mapped)
+            assert mapped == [0, 8] if cpus == 1 else len(mapped) < 16
 
 
 def test_thread_count_invariance_exhaustive(system_b3, monkeypatch):
@@ -333,47 +356,66 @@ def test_thread_count_invariance_sampled(system_b3, monkeypatch):
 
 
 def test_threads_cap_the_workers(system_b3, monkeypatch):
+    # threads beside the caller: threads - 1, at most one per other CPU,
+    # and none that would find no tile (3^2 words make one tile)
     started = []
+    idents = set()
 
-    class Counted(fiber._Helpers):
-        def __init__(self, count):
-            started.append(count)
-            super().__init__(count)
+    class Counted(threading.Thread):
+        def start(self):
+            started[-1] += 1
+            super().start()
+
+    def record(values, row0):
+        idents.add(threading.get_ident())
 
     monkeypatch.setattr(fiber, "_TILE_ROWS", 100)
     monkeypatch.setattr(fiber, "_cpus", lambda: 3)
-    monkeypatch.setattr(fiber, "_Helpers", Counted)
+    monkeypatch.setattr(threading, "Thread", Counted)
     spec = FiberMeasureSpec(system_b3, 0.21, 7, 3)
     for threads in (None, 1, 2, 8):
-        build_fiber_measure(spec, threads=threads)
-    assert started == [2, 0, 1, 2]
+        started.append(0)
+        idents.clear()
+        map_fiber_tiles(spec, record, lambda _: None, threads)
+        assert len(idents) <= min(threads or 3, 3)
+    started.append(0)
+    map_fiber_tiles(FiberMeasureSpec(system_b3, 0.21, 2, 0), record, lambda _: None)
+    assert started == [2, 0, 1, 2, 0]
     with pytest.raises(ValueError, match="threads must be positive"):
         build_fiber_measure(spec, threads=0)
 
 
 def test_helper_threads_live_for_one_stream(system_b2, monkeypatch):
-    # one set of helpers serves every block of a stream, and is gone when
-    # the stream ends or is dropped
+    # the threads a call starts are gone when it returns, whether its
+    # tiles all fold or a tile's map or fold raises
     monkeypatch.setattr(fiber, "_TILE_ROWS", 8)
     monkeypatch.setattr(fiber, "_cpus", lambda: 3)
     spec = FiberMeasureSpec(system_b2, 0.55, 7, 4)
-    before = threading.active_count()
+    before = set(threading.enumerate())
     idents = set()
 
     def record(values, row0):
         idents.add(threading.get_ident())
+        assert threading.active_count() <= len(before) + 2
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(1e-3)  # a worker still busy when the caller runs dry
+        if row0 == fail_at["map"]:
+            raise ArithmeticError("map failed")
+        return row0
 
-    blocks = fiber_value_chunks(spec, block_words=32, tile_map=record)
-    next(blocks)
-    assert threading.active_count() <= before + 2
-    for _ in blocks:
-        assert threading.active_count() <= before + 2
+    def fold(row0):
+        if row0 == fail_at["fold"]:
+            raise ArithmeticError("fold failed")
+
+    fail_at = {"map": None, "fold": None}
+    map_fiber_tiles(spec, record, fold)
     assert len(idents) <= 3
-    assert threading.active_count() == before
-    dropped = fiber_value_chunks(spec, block_words=32, tile_map=record)
-    next(dropped)
-    del dropped
-    assert threading.active_count() == before
+    assert set(threading.enumerate()) == before
+    for where in ("map", "fold"):
+        fail_at = {"map": None, "fold": None, where: 64}
+        with pytest.raises(ArithmeticError, match=f"{where} failed"):
+            map_fiber_tiles(spec, record, fold)
+        assert set(threading.enumerate()) == before
 
 
 def test_sampled_same_seed_reproduces(system_b2):
@@ -517,7 +559,7 @@ def test_pushed_forward_child_values_are_the_direct_leaf_ranges(b, k, child_dept
     leaves = b**child_depth
     for n, w in enumerate(enumerate_words(b, k)):
         spec = FiberMeasureSpec(p, word_address(p, x, w), child_depth, 0)
-        child = np.concatenate(list(fiber_value_chunks(spec)))
+        child = tile_values(spec)[0]
         direct = _branch_sums(p, x, k + child_depth, n * leaves, (n + 1) * leaves)
         pushed = gk * child + symbolic_sum(p, x, w)
         np.testing.assert_allclose(pushed, direct, rtol=0, atol=1e-12)

@@ -390,8 +390,9 @@ def test_sparse_fallback_matches_dense_tables(monkeypatch):
 def test_tile_map_matches_one_reduction_of_all_values(
     b, depth, count, sampled, tile_rows, cpus
 ):
-    # the per-tile keys, strip rows and reductions give the bits of one
-    # reduction over the concatenated unmapped values
+    # the per-tile keys, strip rows and reductions, folded in whatever
+    # order the tiles finish, give the bits of one reduction over one tile
+    # of all the values
     while b**depth > 600:
         depth -= 1
     p = SystemParams(b, 0.5, 0.3, TrigPoly(0.1, (1.0, 0.4), (0.2,)))
@@ -400,11 +401,8 @@ def test_tile_map_matches_one_reduction_of_all_values(
     kw = dict(mode="sampled", sample_count=count, seed=3) if sampled else {}
     args = (p, 0.37, 0.19, n, range(1, n), depth)
 
-    def one_tile(spec, block_words, tile_map, threads):
-        yield [tile_map(np.concatenate(list(fiber.fiber_value_chunks(spec))), 0)]
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(projection, "fiber_value_chunks", one_tile)
+        mp.setattr(fiber, "_TILE_ROWS", 1 << 20)
         whole = conservation_estimates(*args, **kw)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fiber, "_TILE_ROWS", tile_rows)
