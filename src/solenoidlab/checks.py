@@ -300,21 +300,26 @@ class SeparationCertificate:
 def _min_pairwise_gap(values: np.ndarray) -> float:
     """Exact nearest-pair distance of a complex point set (inf below two points).
 
-    One sweep over the points in real-part order: shift k compares each
-    point with the k-th next one.  In sorted order every point's real gap
-    to its k-th successor grows with k, and a pair is no closer than its
-    real gap, so once the smallest real gap at a shift reaches the best
-    distance found, no later shift can beat it and the sweep stops.  The
-    result is the all-pairs minimum bit for bit, since each pair's
-    distance is the same float |v_i - v_j|.  Spread-out sets stop after
-    a few shifts; points with equal real parts never stop early, so the
-    worst case is still O(n^2) work in n vector steps.
+    One sweep over the points in order along the axis, real or
+    imaginary, of larger spread: shift k compares each point with the
+    k-th next one.  In sorted order every point's gap along the axis to
+    its k-th successor grows with k, and a pair is no closer than that
+    gap, so once the smallest gap at a shift reaches the best distance
+    found, no later shift can beat it and the sweep stops.  The result
+    is the all-pairs minimum bit for bit, since each pair's distance is
+    the same float |v_i - v_j| in either order.  Spread-out sets stop
+    after a few shifts, and so do points on one vertical or horizontal
+    line; points with equal coordinates along the wider axis never stop
+    early, so the worst case is still O(n^2) work in n vector steps.
     """
-    v = values[np.argsort(values.real, kind="stable")]
-    re = v.real
+    if len(values) < 2:
+        return math.inf
+    axis = values.imag if np.ptp(values.imag) > np.ptp(values.real) else values.real
+    order = np.argsort(axis, kind="stable")
+    v, along = values[order], axis[order]
     best = math.inf
     for k in range(1, len(v)):
-        if float((re[k:] - re[:-k]).min()) >= best:
+        if float((along[k:] - along[:-k]).min()) >= best:
             break
         best = min(best, float(np.abs(v[k:] - v[:-k]).min()))
     return best

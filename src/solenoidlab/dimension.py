@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .entropy import entropy_profile
 from .fiber import FiberMeasureSpec, build_fiber_measure
-from .gridmeasure import _cell_rows, _reduce_rows
+from .gridmeasure import _cell_rows, _reduce_cells
 from .params import SystemParams
 from .rng import SplitMix64
 from .words import symbolic_sum_batch
@@ -151,7 +151,7 @@ def box_dimension(
     m = len(pts)
     counts = []
     for l in lv:
-        counts.append(len(_reduce_rows(_cell_rows(pts, base, l))[1]))
+        counts.append(len(_reduce_cells(_cell_rows(pts, base, l)).weights))
     fitted = [l for l, c in zip(lv, counts) if c <= m // 2]
     if len(fitted) < 2:
         raise ValueError("all levels saturated; increase the point count")

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gridmeasure import GridMeasure, _coarsen_each, _reduce_rows, convolve
+from .gridmeasure import GridMeasure, _coarsen_each, _reduce_cells, _reduce_rows, convolve
 
 __all__ = [
     "entropy",
@@ -314,8 +314,6 @@ def mix_measures(mu: GridMeasure, nu: GridMeasure, p: int, q: int) -> GridMeasur
         raise ValueError("mixing weight overflow")
     w1 = mu.weights * (p * nu.total)
     w2 = nu.weights * ((q - p) * mu.total)
-    idx = np.concatenate((mu.idx, nu.idx))
-    w = np.concatenate((w1, w2))
-    idx, w = _reduce_rows(idx, w)
+    cells = _reduce_cells(np.concatenate((mu.idx, nu.idx)), np.concatenate((w1, w2)))
     radius = max(mu.box_radius, nu.box_radius)
-    return GridMeasure(mu.base, mu.dim, mu.level, idx, w, radius)
+    return GridMeasure._of(mu.base, mu.dim, mu.level, cells, radius)

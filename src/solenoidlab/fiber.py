@@ -33,7 +33,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .gridmeasure import GridMeasure, _RowSums, _bin_points, _reduce_rows
+from .gridmeasure import GridMeasure, _RowSums, _bin_points, _reduce_cells
 from .params import SystemParams
 from .rng import SplitMix64
 from .words import (
@@ -253,17 +253,16 @@ def build_fiber_measure(
 
     def bin_tile(values, row0):
         rows, near = _bin_points(values, b, level)
-        return _reduce_rows(rows), near
+        return _reduce_cells(rows), near
 
     def fold(result):
         nonlocal flagged
-        sums.add_part(*result[0])
+        sums.add_part(result[0])
         flagged += result[1]
 
     map_fiber_tiles(spec, bin_tile, fold, threads)
-    idx, cnt = sums.table()
-    return GridMeasure(
-        b, 2, level, idx, cnt, spec.params.box_radius(), flagged, provenance=spec
+    return GridMeasure._of(
+        b, 2, level, sums.table(), spec.params.box_radius(), flagged, provenance=spec
     )
 
 
@@ -321,6 +320,4 @@ def refine_fiber_measure(
     flagged = direct.boundary_ambiguous + sum(
         children[w].boundary_ambiguous for w in want
     )
-    return GridMeasure(
-        params.b, 2, level, direct.idx, direct.weights, params.box_radius(), flagged
-    )
+    return GridMeasure._of(params.b, 2, level, direct._cells, params.box_radius(), flagged)

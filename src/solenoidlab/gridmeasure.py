@@ -16,18 +16,34 @@ primitive.  _cell_rows floors coordinates to cell rows.  _bin_points
 does the same and also counts the points with any coordinate closer
 than 1e-13 to a cell boundary (one count per point, however many of its
 coordinates are close); the tally is carried on the measure, and exact
-operations propagate it without adding to it.  _reduce_rows encodes
-each row as one int64 key, (k1 - min k1) * span2 + (k2 - min k2) over
-the observed ranges, so key order is row-lexicographic order.  It counts
-equal keys with bincount when the key range has at most one slot per
-row, and otherwise sorts them in place, with each weight packed into the
-low bits of its key: a sum over a run of equal keys is an exact integer
-whatever the order inside the run.  Keys and weights too wide to share
-63 bits sort through an argsort instead.  Weights stay exact int64 on
-every path.  Only rows whose key range does not fit in int64 fall back
-to a lexsort.
-_RowSums applies _reduce_rows to rows that arrive in chunks, or takes
-chunks already reduced on other threads, and merges them by addition.
+operations propagate it without adding to it.
+
+_reduce_cells encodes each row as one int64 key, (k1 - lo1) * span2 +
+(k2 - lo2), with lo the per-column minimum and span the per-column
+max - min + 1 of the rows: the codec (lo, spans).  Key order is
+row-lexicographic order.  It counts equal keys with bincount when the
+key range has at most one slot per row, and otherwise sorts them in
+place, with each weight packed into the low bits of its key: a sum over
+a run of equal keys is an exact integer whatever the order inside the
+run.  Keys and weights too wide to share 63 bits sort through an
+argsort instead.  Weights stay exact int64 on every path.  The result
+is a _CellTable: the distinct keys in increasing order, their codec and
+their weight sums.  Each kept cell has a row of the input, so the codec
+is tight, lo and lo + span - 1 being each column's minimum and maximum
+over the table.  Only rows whose key range does not fit in int64 fall
+back to a lexsort, and that table holds its rows instead of keys.
+_RowSums reduces rows that arrive in chunks, or takes tables already
+reduced on other threads, and merges them by addition after recoding
+every part's keys to the codec of their union.
+
+A GridMeasure holds one such table.  Its checks run on the keys:
+strictly increasing keys are cells sorted without repeats, and the
+codec's bounds put every cell in the origin box in O(1).  Coarsening
+floors the keys' digits column by column, and entropies and cell counts
+read only weights, so none of them builds rows.  The rows, idx, are
+decoded from the keys on first read and then kept; cells(), centers(),
+dumps, convolution, mixing, affine images, and conditional and component
+entropies read them.
 """
 
 from __future__ import annotations
@@ -35,7 +51,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -134,42 +150,48 @@ def _key_rows(keys: np.ndarray, lo: list[int], spans: list[int]) -> np.ndarray:
     return rows
 
 
-def _box_radius(idx: np.ndarray, base: int, level: int) -> int:
-    """Smallest integer R >= 1 with every level-n cell of idx inside [-R, R]^d."""
-    return max(1, int(np.ceil((np.abs(idx).max() + 1) / base**level)))
-
-
-def _reduce_rows(
-    rows: np.ndarray, w: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray]:
+class _CellTable(NamedTuple):
     """Distinct rows in lexicographic order and their exact int64 weight sums.
 
-    w=None weights every row 1.  Weights must be positive.  Temporaries
-    are dropped as soon as they are used, because callers reduce tables
-    of millions of rows.
+    keys are the rows' int64 keys in the codec (lo, spans) of _row_keys,
+    strictly increasing.  The codec is tight: lo is each column's minimum
+    over the table and lo + span - 1 its maximum.  A table whose key
+    range does not fit in int64 has keys None and holds its rows in wide.
     """
-    if len(rows) == 0:
-        return rows, np.zeros(0, dtype=np.int64)
-    lo, spans = _key_range(rows)
-    size = math.prod(spans)
-    if size > _INT64_MAX:
-        order = np.lexsort(rows.T[::-1])
-        rows = rows[order]
-        w = np.ones(len(rows), dtype=np.int64) if w is None else w[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))
-        )
-        return rows[starts], np.add.reduceat(w, starts)
-    keys = _row_keys(rows, lo, spans)
+
+    keys: Optional[np.ndarray]
+    lo: list[int]
+    spans: list[int]
+    weights: np.ndarray
+    wide: Optional[np.ndarray] = None
+
+    def rows(self) -> np.ndarray:
+        """The table's (m, d) rows, decoded from the keys."""
+        return self.wide if self.keys is None else _key_rows(self.keys, self.lo, self.spans)
+
+
+def _box_radius(lo: list[int], spans: list[int], base: int, level: int) -> int:
+    """Smallest integer R >= 1 with the level-n cells of a codec's box inside [-R, R]^d."""
+    ends = np.array([lo, [l + s - 1 for l, s in zip(lo, spans)]], dtype=np.int64)
+    return max(1, int(np.ceil((np.abs(ends).max() + 1) / base**level)))
+
+
+def _reduce_keys(
+    keys: np.ndarray, size: int, w: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys in increasing order and their exact int64 weight sums.
+
+    keys lie in [0, size) and are overwritten.  w=None weights every key
+    1.  Temporaries are dropped as soon as they are used, because callers
+    reduce tables of millions of rows.
+    """
     if size <= min(_DENSE_CAP, _DENSE_SLOTS_PER_ROW * len(keys)) and (
         w is None or w.sum(dtype=np.float64) < _FLOAT_EXACT
     ):
         counts = np.bincount(keys, weights=w, minlength=size)
         del keys
         occupied = np.flatnonzero(counts)
-        sums = counts[occupied].astype(np.int64)
-        del counts
-        return _key_rows(occupied, lo, spans), sums
+        return occupied, counts[occupied].astype(np.int64)
     # each weight in the low bits of its key, if both fit in 63 bits; a
     # negative weight would spill into the key bits
     bits = 0 if w is None else int(w.max()).bit_length()
@@ -188,41 +210,155 @@ def _reduce_rows(
         del order
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     sums = np.diff(starts, append=len(keys)) if w is None else np.add.reduceat(w, starts)
-    keys = keys[starts]
-    del starts, w
-    return _key_rows(keys, lo, spans), sums
+    return keys[starts], sums
+
+
+def _reduce_cells(rows: np.ndarray, w: Optional[np.ndarray] = None) -> _CellTable:
+    """The _CellTable of int64 (m, d) rows: the distinct rows and their weight sums.
+
+    w=None weights every row 1.  Weights must be positive for the sums to
+    be cell weights.  bincount drops a cell whose weights sum to 0, so
+    with a weight <= 0 the codec is made again from the cells kept.
+    """
+    if len(rows) == 0:
+        d = rows.shape[1]
+        empty = np.zeros(0, dtype=np.int64)
+        return _CellTable(empty, [0] * d, [1] * d, empty)
+    lo, spans = _key_range(rows)
+    size = math.prod(spans)
+    if size > _INT64_MAX:
+        order = np.lexsort(rows.T[::-1])
+        rows = rows[order]
+        w = np.ones(len(rows), dtype=np.int64) if w is None else w[order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))
+        )
+        return _CellTable(None, lo, spans, np.add.reduceat(w, starts), rows[starts])
+    keys, sums = _reduce_keys(_row_keys(rows, lo, spans), size, w)
+    if w is not None and len(keys) and w.min() <= 0:
+        rows = _key_rows(keys, lo, spans)
+        lo, spans = _key_range(rows)
+        keys = _row_keys(rows, lo, spans)
+    return _CellTable(keys, lo, spans, sums)
+
+
+def _reduce_rows(
+    rows: np.ndarray, w: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """_reduce_cells with its rows decoded: (distinct rows, weight sums)."""
+    cells = _reduce_cells(rows, w)
+    return cells.rows(), cells.weights
+
+
+def _coarse_cells(cells: _CellTable, factor: int) -> _CellTable:
+    """The _CellTable of the rows floor(row / factor) of cells.
+
+    floor is monotone, so the coarse codec's bounds are the floors of
+    cells' bounds, and it is tight as well.  Keys are floored digit by
+    digit, from the last column: column j's row value is d_j + lo_j, so
+    with c_j = floor(lo_j / factor) its coarse digit is (d_j + lo_j mod
+    factor) // factor, with no row ever built.
+    """
+    if cells.keys is None:
+        return _reduce_cells(np.floor_divide(cells.wide, factor), cells.weights)
+    lo = [l // factor for l in cells.lo]
+    spans = [(l + s - 1) // factor - c + 1 for l, s, c in zip(cells.lo, cells.spans, lo)]
+    keys, rest, place = None, cells.keys, 1
+    for j in range(len(spans) - 1, -1, -1):
+        if j:
+            quot = rest // cells.spans[j]
+            digit = quot * cells.spans[j]
+            np.subtract(rest, digit, out=digit)
+            rest = quot
+        else:
+            digit = rest.copy() if rest is cells.keys else rest
+        digit += cells.lo[j] % factor
+        digit //= factor
+        if keys is None:
+            keys = digit
+        else:
+            digit *= place
+            keys += digit
+        place *= spans[j]
+    keys, w = _reduce_keys(keys, place, cells.weights)
+    return _CellTable(keys, lo, spans, w)
+
+
+def _recode(part: _CellTable, lo: list[int], spans: list[int], out: np.ndarray) -> None:
+    """Write into out the keys of part's rows in the codec (lo, spans).
+
+    The codec's box must hold part's.  A key sums each column's digit
+    d_j times its place value P_j, the product of the later spans, so a
+    row's new key is its old key, plus the new key of part's lowest
+    corner, plus d_j times the change of P_j for each column whose place
+    value changes; the last column's is 1 in every codec.
+    """
+    corner = 0
+    for l, new_l, s in zip(part.lo, lo, spans):
+        corner = corner * s + (l - new_l)
+    np.add(part.keys, corner, out=out)
+    place = new_place = 1
+    for j in range(len(spans) - 1, 0, -1):
+        place *= part.spans[j]
+        new_place *= spans[j]
+        if new_place != place:
+            digit = part.keys // place
+            if j > 1:
+                digit %= part.spans[j - 1]
+            digit *= new_place - place
+            out += digit
+
+
+def _merge_cells(parts: Sequence[_CellTable]) -> _CellTable:
+    """One _CellTable of the rows of all parts, the weights of equal rows added."""
+    full = [p for p in parts if len(p.weights)]
+    if len(full) < 2:
+        return (full or parts)[0]
+    parts = full
+    lo = [min(col) for col in zip(*(p.lo for p in parts))]
+    ends = zip(*([l + s for l, s in zip(p.lo, p.spans)] for p in parts))
+    spans = [max(col) - l for col, l in zip(ends, lo)]
+    size = math.prod(spans)
+    w = np.concatenate([p.weights for p in parts])
+    if size > _INT64_MAX:
+        return _reduce_cells(np.concatenate([p.rows() for p in parts]), w)
+    keys = np.empty(len(w), dtype=np.int64)
+    at = 0
+    for p in parts:
+        _recode(p, lo, spans, keys[at : at + len(p.weights)])
+        at += len(p.weights)
+    keys, w = _reduce_keys(keys, size, w)
+    return _CellTable(keys, lo, spans, w)
 
 
 class _RowSums:
-    """_reduce_rows over rows that arrive in chunks.
+    """_reduce_cells over rows that arrive in chunks.
 
-    add reduces a chunk; add_part takes a chunk that was already reduced,
-    on the thread that made it.  The parts are merged whenever the rows
-    added since the last merge outnumber both the merged table and
+    add reduces a chunk; add_part takes the _CellTable of a chunk, made
+    on the thread that reduced it.  The parts are merged whenever the
+    rows added since the last merge outnumber both the merged table and
     _MERGE_ROWS, so the unmerged rows stay below the larger of the two,
     and once more by table().  Weights are integers, so the merge order
     cannot change the result.
     """
 
     def __init__(self):
-        self._parts: list[tuple[np.ndarray, np.ndarray]] = []
+        self._parts: list[_CellTable] = []
         self._unmerged = 0
 
     def add(self, rows: np.ndarray, w: Optional[np.ndarray] = None) -> None:
-        self.add_part(*_reduce_rows(rows, w))
+        self.add_part(_reduce_cells(rows, w))
 
-    def add_part(self, rows: np.ndarray, w: np.ndarray) -> None:
-        """Add distinct sorted rows and their weight sums, as _reduce_rows gives them."""
-        self._parts.append((rows, w))
-        self._unmerged += len(w)
-        if self._unmerged > max(len(self._parts[0][1]), _MERGE_ROWS):
+    def add_part(self, part: _CellTable) -> None:
+        self._parts.append(part)
+        self._unmerged += len(part.weights)
+        if self._unmerged > max(len(self._parts[0].weights), _MERGE_ROWS):
             self.table()
 
-    def table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct rows of all chunks so far, sorted, with their weight sums."""
+    def table(self) -> _CellTable:
+        """The _CellTable of all chunks so far."""
         if len(self._parts) > 1:
-            rows, w = zip(*self._parts)
-            self._parts = [_reduce_rows(np.concatenate(rows), np.concatenate(w))]
+            self._parts = [_merge_cells(self._parts)]
         self._unmerged = 0
         return self._parts[0]
 
@@ -231,11 +367,15 @@ class _RowSums:
 class GridMeasure:
     """dim-d measure with integer weights on level-n b-adic cells.
 
-    idx has shape (m, dim) and its rows strictly increase in lexicographic
-    order (sorted, no repeats); weights are positive int64.  box_radius R
-    certifies all cells lie in [-R, R]^dim.  provenance is the
-    FiberMeasureSpec of a fiber build, and None for every other measure;
-    it is not dumped, and derived measures do not inherit it.
+    The cells are held as a _CellTable, normally sorted int64 keys and
+    their codec; weights are positive int64.  idx, the (m, dim) cell
+    rows in strictly increasing lexicographic order (sorted, no
+    repeats), is decoded from the keys on first read and kept.  The
+    constructor takes rows and encodes them once; measures made by
+    reduces hold their tables as made (GridMeasure._of), checked alike.
+    box_radius R certifies all cells lie in [-R, R]^dim.  provenance is
+    the FiberMeasureSpec of a fiber build, and None for every other
+    measure; it is not dumped, and derived measures do not inherit it.
     """
 
     base: int
@@ -248,28 +388,77 @@ class GridMeasure:
     provenance: Optional[object] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        self._check_grid()
+        if len(self.idx) == 0:
+            raise ValueError("empty measure")
+        if self.idx.shape != (len(self.weights), self.dim):
+            raise ValueError("index/weight shape mismatch")
+        lo, spans = _key_range(self.idx)
+        if math.prod(spans) > _INT64_MAX:
+            self._hold(_CellTable(None, lo, spans, self.weights, self.idx))
+        else:
+            keys = _row_keys(self.idx.astype(np.int64, copy=False), lo, spans)
+            self._hold(_CellTable(keys, lo, spans, self.weights))
+
+    @classmethod
+    def _of(
+        cls,
+        base: int,
+        dim: int,
+        level: int,
+        cells: _CellTable,
+        box_radius: int,
+        boundary_ambiguous: int = 0,
+        provenance: Optional[object] = None,
+    ) -> "GridMeasure":
+        """The measure of a _CellTable as a reduce makes it, checked as rows are."""
+        mu = cls.__new__(cls)
+        mu.base, mu.dim, mu.level, mu.weights = base, dim, level, cells.weights
+        mu.box_radius, mu.boundary_ambiguous = box_radius, boundary_ambiguous
+        mu.provenance = provenance
+        mu._check_grid()
+        if len(cells.weights) == 0:
+            raise ValueError("empty measure")
+        if len(cells.spans) != dim:
+            raise ValueError("index/weight shape mismatch")
+        mu._hold(cells)
+        return mu
+
+    def _check_grid(self) -> None:
         if self.dim not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dim}")
         if self.base < 2:
             raise ValueError(f"base must be >= 2, got {self.base}")
         if self.level < 0:
             raise ValueError(f"level must be nonnegative, got {self.level}")
-        if len(self.idx) == 0:
-            raise ValueError("empty measure")
-        if self.idx.shape != (len(self.weights), self.dim):
-            raise ValueError("index/weight shape mismatch")
-        if np.any(self.weights <= 0):
+
+    def _hold(self, cells: _CellTable) -> None:
+        """Check and keep the cells: positive weights, sorted cells, in the origin box."""
+        if np.any(cells.weights <= 0):
             raise ValueError("weights must be positive integers")
-        first = self.idx[1:, 0] > self.idx[:-1, 0]
-        if self.dim == 2:
-            first |= (self.idx[1:, 0] == self.idx[:-1, 0]) & (
-                self.idx[1:, 1] > self.idx[:-1, 1]
-            )
-        if not first.all():
+        if cells.keys is not None:
+            increasing = cells.keys[1:] > cells.keys[:-1]
+        else:
+            idx = cells.wide
+            increasing = idx[1:, 0] > idx[:-1, 0]
+            if self.dim == 2:
+                increasing |= (idx[1:, 0] == idx[:-1, 0]) & (idx[1:, 1] > idx[:-1, 1])
+        if not increasing.all():
             raise ValueError("cells must be sorted lexicographically without repeats")
         edge = self.box_radius * self.base**self.level
-        if np.any(self.idx < -edge) or np.any(self.idx > edge - 1):
+        top = max(l + s - 1 for l, s in zip(cells.lo, cells.spans))
+        if min(cells.lo) < -edge or top > edge - 1:
             raise ValueError("cell outside origin box")
+        self._cells = cells
+        if cells.keys is None:
+            self.idx = cells.wide
+
+    def __getattr__(self, name: str):
+        # a keyed measure has no idx until it is read: decode it once and keep it
+        if name != "idx" or "_cells" not in self.__dict__:
+            raise AttributeError(name)
+        self.idx = self._cells.rows()
+        return self.idx
 
     @property
     def total(self) -> int:
@@ -305,11 +494,9 @@ class GridMeasure:
             )
         if n == self.level:
             return self
-        factor = self.base ** (self.level - n)
-        coarse = np.floor_divide(self.idx, factor)
-        idx, w = _reduce_rows(coarse, self.weights)
-        return GridMeasure(
-            self.base, self.dim, n, idx, w, self.box_radius, self.boundary_ambiguous
+        cells = _coarse_cells(self._cells, self.base ** (self.level - n))
+        return GridMeasure._of(
+            self.base, self.dim, n, cells, self.box_radius, self.boundary_ambiguous
         )
 
     def affine_badic(self, power: int, shift: Sequence[int]) -> "GridMeasure":
@@ -321,28 +508,30 @@ class GridMeasure:
         if not 0 <= power <= self.level:
             raise ValueError(f"power must lie in [0, level], got {power}")
         shift = np.asarray(shift, dtype=np.int64).reshape(1, self.dim)
-        new_idx = self.idx + shift
         new_level = self.level - power
-        idx, w = _reduce_rows(new_idx, self.weights)
-        return GridMeasure(
+        cells = _reduce_cells(self.idx + shift, self.weights)
+        return GridMeasure._of(
             self.base,
             self.dim,
             new_level,
-            idx,
-            w,
-            _box_radius(idx, self.base, new_level),
+            cells,
+            _box_radius(cells.lo, cells.spans, self.base, new_level),
             self.boundary_ambiguous,
         )
 
     def equals(self, other: "GridMeasure") -> bool:
-        """Weight-for-weight equality of the cell tables."""
+        """Weight-for-weight equality of the cell tables.
+
+        Codecs are tight, so equal cells have equal codecs and equal keys.
+        """
+        a, b = self._cells, other._cells
         return (
-            self.base == other.base
-            and self.dim == other.dim
-            and self.level == other.level
-            and self.idx.shape == other.idx.shape
-            and bool(np.all(self.idx == other.idx))
-            and bool(np.all(self.weights == other.weights))
+            (self.base, self.dim, self.level, a.lo, a.spans)
+            == (other.base, other.dim, other.level, b.lo, b.spans)
+            and np.array_equal(
+                a.wide if a.keys is None else a.keys, b.wide if b.keys is None else b.keys
+            )
+            and np.array_equal(a.weights, b.weights)
         )
 
 
@@ -384,14 +573,13 @@ def measure_from_points(
     """
     if len(points) == 0:
         raise ValueError("empty measure: no points to bin")
-    idx, flagged = _bin_points(points, base, level)
-    dim = idx.shape[1]
+    rows, flagged = _bin_points(points, base, level)
     if weights is not None:
         weights = np.asarray(weights, dtype=np.int64)
-    idx, w = _reduce_rows(idx, weights)
+    cells = _reduce_cells(rows, weights)
     if box_radius is None:
-        box_radius = _box_radius(idx, base, level)
-    return GridMeasure(base, dim, level, idx, w, box_radius, flagged)
+        box_radius = _box_radius(cells.lo, cells.spans, base, level)
+    return GridMeasure._of(base, rows.shape[1], level, cells, box_radius, flagged)
 
 
 def measure_from_cells(
@@ -405,10 +593,10 @@ def measure_from_cells(
     else:
         idx = np.array([[int(k[0]), int(k[1])] for k in cells], dtype=np.int64)
     w = np.array([int(v) for v in cells.values()], dtype=np.int64)
-    idx, w = _reduce_rows(idx, w)
+    table = _reduce_cells(idx, w)
     if box_radius is None:
-        box_radius = _box_radius(idx, base, level)
-    return GridMeasure(base, dim, level, idx, w, box_radius)
+        box_radius = _box_radius(table.lo, table.spans, base, level)
+    return GridMeasure._of(base, dim, level, table, box_radius)
 
 
 # === serialization ===
@@ -475,7 +663,7 @@ def load_measure(text: str, base: Optional[int] = None) -> GridMeasure:
         weights.append(int(parts[dim]))
     idx = np.array(rows, dtype=np.int64).reshape(len(rows), dim)
     w = np.array(weights, dtype=np.int64)
-    mu = GridMeasure(base, dim, level, idx, w, _box_radius(idx, base, level))
+    mu = GridMeasure(base, dim, level, idx, w, _box_radius(*_key_range(idx), base, level))
     if mu.total != total:
         raise ValueError(f"dump total {total} does not match cell sum {mu.total}")
     return mu
@@ -500,14 +688,13 @@ def convolve(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
         block_idx = mu.idx[lo : lo + chunk, None, :] + nu.idx[None, :, :] + 1
         block_w = mu.weights[lo : lo + chunk, None] * nu.weights[None, :]
         sums.add(block_idx.reshape(-1, mu.dim), block_w.reshape(-1))
-    idx, w = sums.table()
-    return GridMeasure(
+    cells = sums.table()
+    return GridMeasure._of(
         mu.base,
         mu.dim,
         mu.level,
-        idx,
-        w,
-        _box_radius(idx, mu.base, mu.level),
+        cells,
+        _box_radius(cells.lo, cells.spans, mu.base, mu.level),
         mu.boundary_ambiguous + nu.boundary_ambiguous,
     )
 

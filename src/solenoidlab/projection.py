@@ -40,7 +40,7 @@ import numpy as np
 from .entropy import _group_entropies, _histogram_entropies, _weights_entropy, entropy
 from .fiber import FiberMeasureSpec, build_fiber_measure, map_fiber_tiles
 from .gridmeasure import (
-    GridMeasure, _cell_rows, _reduce_rows, _row_keys, _RowSums, measure_from_points
+    GridMeasure, _cell_rows, _reduce_cells, _row_keys, _RowSums, measure_from_points
 )
 from .params import SystemParams
 
@@ -302,22 +302,22 @@ def conservation_estimates(
         t = _line_coordinate(planar, theta)
         u = _line_coordinate(planar, theta + 0.25)
         strips = {
-            q: _reduce_rows(np.hstack((_cell_rows(t, b, q), _cell_rows(u, b, n - q))))
+            q: _reduce_cells(np.hstack((_cell_rows(t, b, q), _cell_rows(u, b, n - q))))
             for q in qs
         }
-        return _reduce_rows(_cell_rows(t, b, n)), strips
+        return _reduce_cells(_cell_rows(t, b, n)), strips
 
     beta_sums = _RowSums()
     strip_sums = {q: _RowSums() for q in qs}
 
     def fold(result):
         beta_part, strip_parts = result
-        beta_sums.add_part(*beta_part)
+        beta_sums.add_part(beta_part)
         for q, part in strip_parts.items():
-            strip_sums[q].add_part(*part)
+            strip_sums[q].add_part(part)
 
     map_fiber_tiles(spec, reduce_tile, fold, threads)
-    beta_w = beta_sums.table()[1]
+    beta_w = beta_sums.table().weights
     if int(beta_w.sum()) != total:
         raise RuntimeError("stream length mismatch")
     strip_tables = {q: sums.table() for q, sums in strip_sums.items()}
@@ -330,8 +330,8 @@ def conservation_estimates(
 
     out = {}
     for q in qs:
-        rows, sw = strip_tables[q]
-        strips, strip_w, strip_h = _group_entropies(rows[:, :1], sw, b)
+        cells = strip_tables[q]
+        strips, strip_w, strip_h = _group_entropies(cells.rows()[:, :1], cells.weights, b)
         table = [
             (int(j), int(wt) / total, float(h) / (n - q))
             for j, wt, h in zip(strips[:, 0], strip_w, strip_h)

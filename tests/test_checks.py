@@ -200,13 +200,55 @@ def _point_set(kind: str, n: int, seed: int) -> np.ndarray:
 @settings(max_examples=30, deadline=None)
 def test_min_pairwise_gap_sweep_matches_brute(kind, n, seed):
     pts = _point_set(kind, n, seed)
+    assert _min_pairwise_gap(pts.copy()) == _brute_gap(pts)
+
+
+def _brute_gap(pts: np.ndarray) -> float:
+    n = len(pts)
     best = math.inf
     for lo in range(0, n, 512):
         d = np.abs(pts[lo : lo + 512, None] - pts[None, :])
         rows = np.arange(lo, min(lo + 512, n))
         d[rows - lo, rows] = math.inf
         best = min(best, float(d.min()))
-    assert _min_pairwise_gap(pts.copy()) == best
+    return best
+
+
+def _line_or_cloud(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    t = rng.random(n)
+    if kind == "vertical":  # one real part: only the imaginary axis separates
+        return 0.25 + 1j * t
+    if kind == "horizontal":
+        return t + 0.75j
+    if kind == "tall-cloud":  # wider along the imaginary axis, ties on both axes
+        return rng.integers(0, 5, n) / 64 + 1j * np.round(t, 3)
+    return rng.random(n) + 1j * t
+
+
+@given(
+    st.sampled_from(["vertical", "horizontal", "tall-cloud", "cloud"]),
+    st.one_of(st.integers(0, 64), st.integers(4090, 4200)),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_min_pairwise_gap_on_lines_matches_brute(kind, n, seed):
+    pts = _line_or_cloud(kind, n, seed)
+    assert _min_pairwise_gap(pts.copy()) == _brute_gap(pts)
+    # the sweep does not depend on which of a pair comes first
+    assert _min_pairwise_gap(pts[::-1].copy()) == _brute_gap(pts)
+
+
+def test_min_pairwise_gap_sweeps_the_wider_axis(monkeypatch):
+    # on one vertical line every real gap is 0, so a sweep in real-part
+    # order would run all 4095 shifts; the imaginary order stops at once
+    calls = []
+    absolute = np.abs
+    monkeypatch.setattr(np, "abs", lambda *a, **k: calls.append(1) or absolute(*a, **k))
+    for pts in (_line_or_cloud("vertical", 4096, 3), _line_or_cloud("horizontal", 4096, 3)):
+        calls.clear()
+        assert _min_pairwise_gap(pts) > 0.0
+        assert len(calls) <= 4
 
 
 def test_separation_constant_drive_fails_everywhere(constant_system):

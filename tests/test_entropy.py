@@ -113,13 +113,16 @@ def test_row_sums_give_the_entropy_bits_of_one_reduce(data):
     for i in order:
         sums.add(*parts[i])
     whole = _reduce_rows(rows, w)[1]
-    assert _weights_entropy(sums.table()[1], 3) == _weights_entropy(whole, 3)
+    assert _weights_entropy(sums.table().weights, 3) == _weights_entropy(whole, 3)
     # the weight histogram itself, merged from parts in any order
     hist = _RowSums()
     whole_parts = np.split(whole, [c * len(whole) // m for c in cuts])
     for i in order:
         hist.add(whole_parts[i][:, None])
-    assert _histogram_entropies(*hist.table(), 3)[2][0] == _weights_entropy(whole, 3)
+    merged = hist.table()
+    assert _histogram_entropies(merged.rows(), merged.weights, 3)[2][0] == _weights_entropy(
+        whole, 3
+    )
 
 
 def test_uniform_entropy_is_log_count():

@@ -6,12 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solenoidlab import gridmeasure
+from solenoidlab.entropy import (
+    component_entropy_distribution,
+    conditional_entropy,
+    entropy,
+    entropy_profile,
+)
 from solenoidlab.gridmeasure import (
     BOUNDARY_EPS,
     GridMeasure,
     _bin_points,
+    _CellTable,
     _cell_rows,
+    _recode,
+    _reduce_cells,
     _reduce_rows,
+    _row_keys,
     _RowSums,
     convolve,
     dump_measure,
@@ -360,12 +370,12 @@ def test_row_sums_over_chunks_match_one_reduce(seed, ncols, nchunks, unit, merge
         mp.setattr(gridmeasure, "_MERGE_ROWS", merge_rows)
         for rows, w in zip(chunks, weights):
             sums.add(rows, w)
-            held = sum(len(part[1]) for part in sums._parts[1:])
-            assert held <= max(len(sums._parts[0][1]), merge_rows)
+            held = sum(len(part.weights) for part in sums._parts[1:])
+            assert held <= max(len(sums._parts[0].weights), merge_rows)
     all_w = None if unit else np.concatenate(weights)
     want = _reduce_rows(np.concatenate(chunks), all_w)
     for got in (sums.table(), sums.table()):
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert np.array_equal(got.rows(), want[0]) and np.array_equal(got.weights, want[1])
 
 
 def test_cell_rows_are_the_binned_rows_without_tally():
@@ -446,3 +456,182 @@ def test_weights_must_be_positive():
             np.array([0], dtype=np.int64),
             1,
         )
+
+
+# === keyed cell tables ===
+
+
+def _keyed_and_row_built(data, base=3):
+    """The same random table as a measure held in keys and one built from rows."""
+    dim = data.draw(st.integers(1, 2))
+    level = data.draw(st.integers(0, 4))
+    m = data.draw(st.integers(1, 120))
+    spread = data.draw(st.sampled_from([2, 9, 3**level, 10**4]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(-spread, spread, size=(m, dim))
+    w = rng.integers(1, data.draw(st.sampled_from([2, 50, 2**40])), size=m)
+    cells = _reduce_cells(rows, w)
+    radius = gridmeasure._box_radius(cells.lo, cells.spans, base, level)
+    keyed = GridMeasure._of(base, dim, level, cells, radius, boundary_ambiguous=3)
+    idx, sums = reference_reduce(rows, w)
+    return keyed, GridMeasure(base, dim, level, idx, sums, radius, 3)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_keyed_measure_reads_as_the_row_built_one(data):
+    keyed, built = _keyed_and_row_built(data)
+    assert keyed._cells.keys is not None and "idx" not in vars(keyed)
+    assert keyed.equals(built) and built.equals(keyed)
+    assert (keyed.ncells, keyed.total, keyed.box_radius) == (built.ncells, built.total, built.box_radius)
+    for n in range(keyed.level + 1):
+        assert entropy(keyed, n) == entropy(built, n)
+    levels = range(keyed.level + 1)
+    assert entropy_profile(keyed, levels) == entropy_profile(built, levels)
+    assert "idx" not in vars(keyed)  # entropies read weights only
+    if keyed.level:
+        m = data.draw(st.integers(1, keyed.level))
+        assert conditional_entropy(keyed, keyed.level, m) == conditional_entropy(built, keyed.level, m)
+        sweeps = [component_entropy_distribution(mu, range(keyed.level - m + 1), m) for mu in (keyed, built)]
+        assert sweeps[0].rows == sweeps[1].rows
+    assert keyed.cells() == built.cells()
+    assert np.array_equal(keyed.centers(), built.centers())
+    assert dump_measure(keyed).encode() == dump_measure(built).encode()
+    assert np.array_equal(keyed.idx, built.idx)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_keyed_coarsen_matches_a_dict_of_floored_cells(data):
+    keyed, _ = _keyed_and_row_built(data, base=data.draw(st.sampled_from([2, 3, 5])))
+    cells = keyed.cells()
+    for n in range(keyed.level + 1):
+        f = keyed.base ** (keyed.level - n)
+        want = {}
+        for k, w in cells.items():
+            c = k // f if keyed.dim == 1 else (k[0] // f, k[1] // f)
+            want[c] = want.get(c, 0) + w
+        coarse = keyed.coarsen(n)
+        assert coarse.cells() == want
+        # the coarse codec is tight: it is the codec of the coarse rows
+        assert (coarse._cells.lo, coarse._cells.spans) == gridmeasure._key_range(coarse.idx)
+
+
+def test_idx_is_decoded_at_most_once(monkeypatch):
+    calls = []
+    read = GridMeasure.__getattr__
+    monkeypatch.setattr(
+        GridMeasure, "__getattr__", lambda mu, name: calls.append(name) or read(mu, name)
+    )
+    mu = random_measure(7, base=3, level=3, cells=40)
+    assert calls == [] and "idx" not in vars(mu)
+    entropy_profile(mu, range(4))
+    mu.coarsen(1)
+    assert calls == []
+    first = mu.idx
+    mu.cells(), mu.centers(), dump_measure(mu), conditional_entropy(mu, 3, 1)
+    assert mu.idx is first and calls == ["idx"]
+    built = GridMeasure(3, 2, 3, first, mu.weights, mu.box_radius)
+    assert built.idx is first and built.equals(mu)
+    built.cells(), built.centers(), dump_measure(built)
+    assert calls == ["idx"]  # a measure built from rows keeps them
+
+
+@given(st.data(), st.sampled_from(["shuffle", "repeat", "zero", "negative", "outside"]))
+@settings(max_examples=60, deadline=None)
+def test_bad_tables_raise_from_rows_and_from_keys(data, fault):
+    keyed, _ = _keyed_and_row_built(data)
+    cells = keyed._cells
+    idx, w = keyed.idx.copy(), keyed.weights.copy()
+    radius = keyed.box_radius
+    if fault in ("shuffle", "repeat"):
+        if len(w) < 2:
+            return
+        keys = cells.keys.copy()
+        if fault == "shuffle":
+            keys[[0, -1]] = keys[[-1, 0]]
+            idx[[0, -1]] = idx[[-1, 0]]
+        else:
+            keys[1] = keys[0]
+            idx[1] = idx[0]
+        match = "sorted"
+    else:
+        keys = cells.keys
+        if fault == "outside":
+            radius -= 1
+            edge = radius * keyed.base**keyed.level
+            if radius < 1 or (idx.min() >= -edge and idx.max() <= edge - 1):
+                return  # the table fits in the next smaller box too
+            match = "origin box"
+        else:
+            w[data.draw(st.integers(0, len(w) - 1))] = 0 if fault == "zero" else -5
+            match = "positive"
+    with pytest.raises(ValueError, match=match):
+        GridMeasure(keyed.base, keyed.dim, keyed.level, idx, w, radius)
+    with pytest.raises(ValueError, match=match):
+        GridMeasure._of(
+            keyed.base, keyed.dim, keyed.level, _CellTable(keys, cells.lo, cells.spans, w), radius
+        )
+
+
+@given(
+    st.integers(1, 3),
+    st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 30)), min_size=3, max_size=3),
+    st.integers(1, 50),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_recode_matches_keys_made_from_rows(ncols, box, m, seed):
+    rng = np.random.default_rng(seed)
+    lo = [l for l, _ in box[:ncols]]
+    spans = [s for _, s in box[:ncols]]
+    rows = np.column_stack([rng.integers(l, l + s, size=m) for l, s in zip(lo, spans)])
+    part = _reduce_cells(rows)
+    grow = rng.integers(0, 4, size=(2, ncols))
+    new_lo = [l - int(g) for l, g in zip(part.lo, grow[0])]
+    new_spans = [s + int(a) + int(b) for s, a, b in zip(part.spans, grow[0], grow[1])]
+    out = np.empty(len(part.keys), dtype=np.int64)
+    _recode(part, new_lo, new_spans, out)
+    assert np.array_equal(out, _row_keys(part.rows(), new_lo, new_spans))
+
+
+def test_a_zero_weight_cell_dropped_by_bincount_leaves_a_tight_codec():
+    # five slots for five rows: bincount counts them and drops the zero
+    # sums, so the box radius is that of the one cell kept
+    mu = measure_from_cells(2, 1, 0, {-3: 0, -2: 0, -1: 0, 0: 0, 1: 5})
+    assert mu.cells() == {1: 5} and mu.box_radius == 2
+    assert mu.equals(measure_from_cells(2, 1, 0, {1: 5}))
+    with pytest.raises(ValueError, match="positive"):  # a sorted table keeps the zero sum
+        measure_from_cells(2, 1, 0, {-300: 0, 1: 5})
+
+
+def test_tables_past_int64_build_and_round_trip():
+    big = 2**61 - 1  # the box radius goes through float64, exact up to 2^53 + 1 per unit
+    rows = np.array([[big, -big], [-big, big], [big, -big], [0, 0]], dtype=np.int64)
+    cells = _reduce_cells(rows, np.array([1, 2, 3, 4], dtype=np.int64))
+    assert cells.keys is None and cells.rows().tolist() == [[-big, big], [0, 0], [big, -big]]
+    mu = GridMeasure._of(2, 2, 0, cells, big + 1)
+    built = GridMeasure(2, 2, 0, cells.rows(), cells.weights, big + 1)
+    assert mu.equals(built) and mu.cells() == {(-big, big): 2, (0, 0): 4, (big, -big): 4}
+    text = dump_measure(mu)
+    assert load_measure(text).equals(mu) and dump_measure(load_measure(text)) == text
+    half = GridMeasure(2, 2, 2, cells.rows(), cells.weights, big).coarsen(1)
+    assert half.cells() == {(-big // 2, big // 2): 2, (0, 0): 4, (big // 2, -big // 2): 4}
+    with pytest.raises(ValueError, match="sorted"):
+        GridMeasure(2, 2, 0, rows[:2], np.array([1, 1]), big + 1)
+    sums = _RowSums()
+    sums.add(rows[:2], np.array([1, 2]))
+    sums.add(rows[2:], np.array([3, 4]))
+    assert sums.table().keys is None and sums.table().weights.tolist() == [2, 4, 4]
+
+
+def test_row_sums_skip_empty_chunks():
+    sums = _RowSums()
+    sums.add(np.zeros((0, 2), dtype=np.int64))
+    sums.add(np.zeros((0, 2), dtype=np.int64))
+    assert len(sums.table().weights) == 0 and sums.table().rows().shape == (0, 2)
+    rows = np.array([[3, -1], [0, 2], [3, -1]], dtype=np.int64)
+    sums.add(rows)
+    sums.add(np.zeros((0, 2), dtype=np.int64))
+    assert sums.table().rows().tolist() == [[0, 2], [3, -1]]
+    assert sums.table().weights.tolist() == [1, 2]
