@@ -31,7 +31,7 @@ from .dimension import (
     generate_attractor,
     predicted_fiber_dimension,
 )
-from .entropy import _porosity_sweep, conditional_entropy, entropy, entropy_profile
+from .entropy import _porosity_sweep, _slope_window, conditional_entropy, entropy, entropy_profile
 from .fiber import FiberMeasureSpec, build_fiber_measure, depth_for_resolution
 from .gridmeasure import dump_measure
 from .params import SystemParams
@@ -76,10 +76,8 @@ def _fiber_spec(
 
 
 def _profile_alpha(profile) -> float:
-    """Slope of the entropy profile over its middle levels."""
-    levels = profile.levels
-    window = levels[2:-2] if len(levels) > 5 else levels
-    return profile.slope(window)
+    """Slope of the entropy profile over its slope window."""
+    return profile.slope(_slope_window(profile.levels))
 
 
 def _run_attractor(cfg: RunConfig, out: Path, threads: Optional[int], seed: int):

@@ -109,8 +109,6 @@ KEY_SPECS: dict[str, tuple[str, str, object]] = {
 
 _SECTIONS = ("system", "budgets", "experiment", "run")
 
-_SYSTEM_KEYS = ("b", "gamma_abs", "delta_kind", "phi_a0", "phi_cos", "phi_sin")
-
 _DELTA_RE = re.compile(
     r"^\s*(?:rational\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)|irrational\(\s*([^)]+?)\s*\))\s*$"
 )

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .entropy import entropy_profile
+from .entropy import _slope_window, entropy_profile
 from .fiber import FiberMeasureSpec, build_fiber_measure
 from .gridmeasure import _cell_rows, _reduce_cells
 from .params import SystemParams
@@ -177,15 +177,15 @@ def fiber_dimension(
     sample_count: int = 0,
     seed: int = 0,
     threads: Optional[int] = None,
-    trim: int = 2,
 ) -> FiberDimension:
     """Entropy-slope estimate of the fiber measure dimension at x.
 
-    Fits H(m_x, L_l) against l after trimming the coarsest and finest
-    levels.  In sampled mode it also drops any level whose occupied-cell
-    count, read from the entropy profile, exceeds a tenth of the sample
-    budget (where the empirical measure goes flat).  threads caps the
-    workers of the build (every CPU when None).
+    Fits H(m_x, L_l) against l over the slope window of levels
+    1..resolution (the two coarsest and two finest trimmed).  In sampled
+    mode it also drops any level whose occupied-cell count, read from the
+    entropy profile, exceeds a tenth of the sample budget (where the
+    empirical measure goes flat).  threads caps the workers of the build
+    (every CPU when None).
     """
     spec = FiberMeasureSpec(
         params, x, depth, resolution, mode=mode, sample_count=sample_count, seed=seed
@@ -193,7 +193,7 @@ def fiber_dimension(
     mu = build_fiber_measure(spec, threads=threads)
     levels = list(range(1, resolution + 1))
     prof = entropy_profile(mu, levels)
-    keep = levels[trim : len(levels) - trim] if len(levels) > 2 * trim + 1 else levels
+    keep = _slope_window(levels)
     if mode == "sampled":
         occupied = dict(zip(prof.levels, prof.cells))
         keep = [l for l in keep if occupied[l] <= 0.1 * spec.total_words]

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gridmeasure import GridMeasure, _coarsen_each, _reduce_cells, _reduce_rows, convolve
+from .gridmeasure import GridMeasure, _coarsen_each, _merge_cells, _reduce_rows, convolve
 
 __all__ = [
     "entropy",
@@ -142,6 +142,11 @@ class EntropyProfile:
         xs = np.array([self.levels[i] for i in pick], dtype=float)
         ys = np.array([self.entropies[i] for i in pick], dtype=float)
         return float(np.polyfit(xs, ys, 1)[0])
+
+
+def _slope_window(levels: Sequence[int]) -> list[int]:
+    """The levels a slope is fitted over: past five, all but the two coarsest and two finest."""
+    return list(levels[2:-2] if len(levels) > 5 else levels)
 
 
 def entropy_profile(mu: GridMeasure, levels: Sequence[int]) -> EntropyProfile:
@@ -312,8 +317,7 @@ def mix_measures(mu: GridMeasure, nu: GridMeasure, p: int, q: int) -> GridMeasur
         raise ValueError("mixing requires matching base, dimension, and level")
     if q * mu.total * nu.total > 2**62:
         raise ValueError("mixing weight overflow")
-    w1 = mu.weights * (p * nu.total)
-    w2 = nu.weights * ((q - p) * mu.total)
-    cells = _reduce_cells(np.concatenate((mu.idx, nu.idx)), np.concatenate((w1, w2)))
+    w1, w2 = mu.weights * (p * nu.total), nu.weights * ((q - p) * mu.total)
+    cells = _merge_cells((mu._cells._replace(weights=w1), nu._cells._replace(weights=w2)))
     radius = max(mu.box_radius, nu.box_radius)
-    return GridMeasure._of(mu.base, mu.dim, mu.level, cells, radius)
+    return GridMeasure(mu.base, mu.dim, mu.level, cells, radius)

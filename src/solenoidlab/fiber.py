@@ -60,7 +60,10 @@ EXHAUSTIVE_WORD_BUDGET = 2**24
 # much smaller than this repay their per-level Python work poorly
 _TILE_ROWS = 1 << 16
 
-# Index magnitudes must stay well inside int64 even after pair encoding.
+# Cap on R * b^n, the largest cell index magnitude at a certified level,
+# so every index stays well inside int64.  A planar key can still pass
+# int64 under this cap (its range is the product of two spans); such a
+# table holds its rows (a wide _CellTable, see gridmeasure).
 _INDEX_SAFE = 2**60
 
 
@@ -261,7 +264,7 @@ def build_fiber_measure(
         flagged += result[1]
 
     map_fiber_tiles(spec, bin_tile, fold, threads)
-    return GridMeasure._of(
+    return GridMeasure(
         b, 2, level, sums.table(), spec.params.box_radius(), flagged, provenance=spec
     )
 
@@ -320,4 +323,4 @@ def refine_fiber_measure(
     flagged = direct.boundary_ambiguous + sum(
         children[w].boundary_ambiguous for w in want
     )
-    return GridMeasure._of(params.b, 2, level, direct._cells, params.box_radius(), flagged)
+    return GridMeasure(params.b, 2, level, direct._cells, params.box_radius(), flagged)

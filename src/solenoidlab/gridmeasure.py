@@ -11,46 +11,50 @@ exactly on a grid corner, and the half-open convention sends a corner to
 the cell on its right, so the result index is a1 + a2 + 1 per axis with
 no floating arithmetic at all.
 
-Every binning and merge in the package goes through one cell-key
-primitive.  _cell_rows floors coordinates to cell rows.  _bin_points
-does the same and also counts the points with any coordinate closer
-than 1e-13 to a cell boundary (one count per point, however many of its
-coordinates are close); the tally is carried on the measure, and exact
-operations propagate it without adding to it.
+Every binning in the package goes through one cell-key primitive.
+_cell_rows floors coordinates to cell rows.  _bin_points does the same
+and also counts the points with any coordinate closer than 1e-13 to a
+cell boundary (one count per point, however many of its coordinates are
+close); the tally is carried on the measure, and exact operations
+propagate it without adding to it.
 
-_reduce_cells encodes each row as one int64 key, (k1 - lo1) * span2 +
-(k2 - lo2), with lo the per-column minimum and span the per-column
-max - min + 1 of the rows: the codec (lo, spans).  Key order is
-row-lexicographic order.  It counts equal keys with bincount when the
-key range has at most one slot per row, and otherwise sorts them in
-place, with each weight packed into the low bits of its key: a sum over
-a run of equal keys is an exact integer whatever the order inside the
-run.  Keys and weights too wide to share 63 bits sort through an
-argsort instead.  Weights stay exact int64 on every path.  The result
-is a _CellTable: the distinct keys in increasing order, their codec and
-their weight sums.  Each kept cell has a row of the input, so the codec
-is tight, lo and lo + span - 1 being each column's minimum and maximum
-over the table.  Only rows whose key range does not fit in int64 fall
-back to a lexsort, and that table holds its rows instead of keys.
-_RowSums reduces rows that arrive in chunks, or takes tables already
-reduced on other threads, and merges them by addition after recoding
-every part's keys to the codec of their union.
+One cell table.  A _CellTable holds distinct cells as strictly
+increasing int64 keys and their codec (lo, spans): lo is each column's
+minimum and span its max - min + 1, and a row's key is (k1 - lo1) *
+span2 + (k2 - lo2), so key order is row-lexicographic order.  The codec
+is tight: every kept cell is a row of the input.  _reduce_cells makes a
+table from rows.  It counts equal keys with bincount when the key range
+has at most one slot per row, and otherwise sorts them in place, with
+each weight packed into the low bits of its key: a sum over a run of
+equal keys is an exact integer whatever the order inside the run.  Keys
+and weights too wide to share 63 bits sort through an argsort instead.
+Weights stay exact int64 on every path.  Only rows whose key range does
+not fit in int64 lexsort, and such a wide table holds its rows instead
+of keys.
 
-A GridMeasure holds one such table.  Its checks run on the keys:
-strictly increasing keys are cells sorted without repeats, and the
-codec's bounds put every cell in the origin box in O(1).  Coarsening
-floors the keys' digits column by column, and entropies and cell counts
-read only weights, so none of them builds rows.  The rows, idx, are
-decoded from the keys on first read and then kept; cells(), centers(),
-dumps, convolution, mixing, affine images, and conditional and component
-entropies read them.
+One transcode.  Coarsening by a factor f and merging tables into the
+codec of their union (f = 1) are both a change of codec: column j's
+digit d_j becomes floor((d_j + lo_j) / f) - lo'_j.  _transcode makes the
+new keys from the old ones, digit by digit, for _coarse_cells and
+_merge_cells; _RowSums, which reduces rows that arrive in chunks or
+tables reduced on other threads, and mix_measures merge through
+_merge_cells.  A b-adic affine image only translates the codec.
+
+A GridMeasure holds one table and checks it once, in its constructor,
+on the keys: strictly increasing keys are cells sorted without repeats,
+and the codec's bounds put every cell in the origin box in O(1).
+Entropies and cell counts read only weights, so none of them builds
+rows.  The rows, idx, are decoded from the keys on first read and then
+kept; cells(), centers(), dumps, convolution, and conditional and
+component entropies read them.  Rows from outside come in through
+measure_from_points, measure_from_cells and load_measure.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -171,9 +175,12 @@ class _CellTable(NamedTuple):
 
 
 def _box_radius(lo: list[int], spans: list[int], base: int, level: int) -> int:
-    """Smallest integer R >= 1 with the level-n cells of a codec's box inside [-R, R]^d."""
-    ends = np.array([lo, [l + s - 1 for l, s in zip(lo, spans)]], dtype=np.int64)
-    return max(1, int(np.ceil((np.abs(ends).max() + 1) / base**level)))
+    """Smallest integer R >= 1 with the level-n cells of a codec's box inside [-R, R]^d.
+
+    R = ceil((max |end| + 1) / b^n) over the box's ends, in exact integers.
+    """
+    reach = max(max(abs(l), abs(l + s - 1)) for l, s in zip(lo, spans)) + 1
+    return max(1, -(-reach // base**level))
 
 
 def _reduce_keys(
@@ -216,9 +223,9 @@ def _reduce_keys(
 def _reduce_cells(rows: np.ndarray, w: Optional[np.ndarray] = None) -> _CellTable:
     """The _CellTable of int64 (m, d) rows: the distinct rows and their weight sums.
 
-    w=None weights every row 1.  Weights must be positive for the sums to
-    be cell weights.  bincount drops a cell whose weights sum to 0, so
-    with a weight <= 0 the codec is made again from the cells kept.
+    w=None weights every row 1.  Weights must be positive, as the entry
+    points check: bincount would drop a cell whose weights sum to 0 and
+    leave the codec loose.
     """
     if len(rows) == 0:
         d = rows.shape[1]
@@ -235,11 +242,28 @@ def _reduce_cells(rows: np.ndarray, w: Optional[np.ndarray] = None) -> _CellTabl
         )
         return _CellTable(None, lo, spans, np.add.reduceat(w, starts), rows[starts])
     keys, sums = _reduce_keys(_row_keys(rows, lo, spans), size, w)
-    if w is not None and len(keys) and w.min() <= 0:
-        rows = _key_rows(keys, lo, spans)
-        lo, spans = _key_range(rows)
-        keys = _row_keys(rows, lo, spans)
     return _CellTable(keys, lo, spans, sums)
+
+
+def _encode_rows(rows: np.ndarray, w: np.ndarray) -> _CellTable:
+    """The _CellTable of int64 (m, d) rows as given, neither sorted nor reduced.
+
+    Rows out of order or repeated make keys that are not strictly
+    increasing, which GridMeasure refuses.
+    """
+    if rows.size == 0:  # no cells, or no columns: GridMeasure refuses either
+        return _reduce_cells(rows[:0])
+    lo, spans = _key_range(rows)
+    if math.prod(spans) > _INT64_MAX:
+        return _CellTable(None, lo, spans, w, rows)
+    return _CellTable(_row_keys(rows, lo, spans), lo, spans, w)
+
+
+def _positive(w: np.ndarray) -> np.ndarray:
+    """w, refused unless every weight is positive."""
+    if np.any(w <= 0):
+        raise ValueError("weights must be positive integers")
+    return w
 
 
 def _reduce_rows(
@@ -250,67 +274,61 @@ def _reduce_rows(
     return cells.rows(), cells.weights
 
 
-def _coarse_cells(cells: _CellTable, factor: int) -> _CellTable:
-    """The _CellTable of the rows floor(row / factor) of cells.
+def _transcode(
+    cells: _CellTable,
+    factor: int,
+    lo: list[int],
+    spans: list[int],
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The keys, in the codec (lo, spans), of the rows floor(row / factor) of cells.
 
-    floor is monotone, so the coarse codec's bounds are the floors of
-    cells' bounds, and it is tight as well.  Keys are floored digit by
-    digit, from the last column: column j's row value is d_j + lo_j, so
-    with c_j = floor(lo_j / factor) its coarse digit is (d_j + lo_j mod
-    factor) // factor, with no row ever built.
+    Column j's row value is d_j + lo_j for its digit d_j in cells' codec,
+    so its new digit is floor((d_j + lo_j) / factor) - lo'_j, that is
+    (d_j + lo_j - factor * lo'_j) // factor; the new box must hold the
+    floored rows, so the shift is never negative.  Digits are taken from
+    the last column, whose digit array becomes the key array (out, if
+    given).  No row is ever built.
     """
-    if cells.keys is None:
-        return _reduce_cells(np.floor_divide(cells.wide, factor), cells.weights)
-    lo = [l // factor for l in cells.lo]
-    spans = [(l + s - 1) // factor - c + 1 for l, s, c in zip(cells.lo, cells.spans, lo)]
     keys, rest, place = None, cells.keys, 1
     for j in range(len(spans) - 1, -1, -1):
+        shift = cells.lo[j] - factor * lo[j]
         if j:
-            quot = rest // cells.spans[j]
-            digit = quot * cells.spans[j]
-            np.subtract(rest, digit, out=digit)
-            rest = quot
-        else:
-            digit = rest.copy() if rest is cells.keys else rest
-        digit += cells.lo[j] % factor
-        digit //= factor
+            rest, digit = np.divmod(rest, cells.spans[j], out=(None, out if keys is None else None))
+            digit += shift
+        else:  # the first digit is the rest; a one-column table's own keys stay
+            digit = np.add(rest, shift, out=out if rest is cells.keys else rest)
+        if factor > 1:
+            digit //= factor
         if keys is None:
             keys = digit
         else:
             digit *= place
             keys += digit
         place *= spans[j]
-    keys, w = _reduce_keys(keys, place, cells.weights)
+    return keys
+
+
+def _coarse_cells(cells: _CellTable, factor: int) -> _CellTable:
+    """The _CellTable of the rows floor(row / factor) of cells.
+
+    floor is monotone, so the coarse codec's bounds are the floors of
+    cells' bounds, and it is tight as well.
+    """
+    if cells.keys is None:
+        return _reduce_cells(np.floor_divide(cells.wide, factor), cells.weights)
+    lo = [l // factor for l in cells.lo]
+    spans = [(l + s - 1) // factor - c + 1 for l, s, c in zip(cells.lo, cells.spans, lo)]
+    keys, w = _reduce_keys(_transcode(cells, factor, lo, spans), math.prod(spans), cells.weights)
     return _CellTable(keys, lo, spans, w)
 
 
-def _recode(part: _CellTable, lo: list[int], spans: list[int], out: np.ndarray) -> None:
-    """Write into out the keys of part's rows in the codec (lo, spans).
-
-    The codec's box must hold part's.  A key sums each column's digit
-    d_j times its place value P_j, the product of the later spans, so a
-    row's new key is its old key, plus the new key of part's lowest
-    corner, plus d_j times the change of P_j for each column whose place
-    value changes; the last column's is 1 in every codec.
-    """
-    corner = 0
-    for l, new_l, s in zip(part.lo, lo, spans):
-        corner = corner * s + (l - new_l)
-    np.add(part.keys, corner, out=out)
-    place = new_place = 1
-    for j in range(len(spans) - 1, 0, -1):
-        place *= part.spans[j]
-        new_place *= spans[j]
-        if new_place != place:
-            digit = part.keys // place
-            if j > 1:
-                digit %= part.spans[j - 1]
-            digit *= new_place - place
-            out += digit
-
-
 def _merge_cells(parts: Sequence[_CellTable]) -> _CellTable:
-    """One _CellTable of the rows of all parts, the weights of equal rows added."""
+    """One _CellTable of the rows of all parts, the weights of equal rows added.
+
+    Every part's keys are transcoded, with factor 1, to the codec of the
+    parts' union, which is tight since theirs are.
+    """
     full = [p for p in parts if len(p.weights)]
     if len(full) < 2:
         return (full or parts)[0]
@@ -325,7 +343,7 @@ def _merge_cells(parts: Sequence[_CellTable]) -> _CellTable:
     keys = np.empty(len(w), dtype=np.int64)
     at = 0
     for p in parts:
-        _recode(p, lo, spans, keys[at : at + len(p.weights)])
+        _transcode(p, 1, lo, spans, keys[at : at + len(p.weights)])
         at += len(p.weights)
     keys, w = _reduce_keys(keys, size, w)
     return _CellTable(keys, lo, spans, w)
@@ -363,102 +381,58 @@ class _RowSums:
         return self._parts[0]
 
 
-@dataclass
 class GridMeasure:
     """dim-d measure with integer weights on level-n b-adic cells.
 
-    The cells are held as a _CellTable, normally sorted int64 keys and
-    their codec; weights are positive int64.  idx, the (m, dim) cell
-    rows in strictly increasing lexicographic order (sorted, no
-    repeats), is decoded from the keys on first read and kept.  The
-    constructor takes rows and encodes them once; measures made by
-    reduces hold their tables as made (GridMeasure._of), checked alike.
-    box_radius R certifies all cells lie in [-R, R]^dim.  provenance is
-    the FiberMeasureSpec of a fiber build, and None for every other
-    measure; it is not dumped, and derived measures do not inherit it.
+    cells is a _CellTable, normally sorted int64 keys and their codec,
+    with positive int64 weights.  The constructor checks the grid and the
+    table once: a non-empty table of width dim, positive weights, keys (or
+    wide rows) strictly increasing, and every cell in the origin box
+    [-R, R]^dim of box_radius R.  idx, the (m, dim) cell rows in
+    lexicographic order, is decoded from the keys on first read and kept.
+    provenance is the FiberMeasureSpec of a fiber build, and None for
+    every other measure; it is not dumped, and derived measures do not
+    inherit it.  Measures compare by identity; equals compares tables.
     """
 
-    base: int
-    dim: int
-    level: int
-    idx: np.ndarray
-    weights: np.ndarray
-    box_radius: int
-    boundary_ambiguous: int = 0
-    provenance: Optional[object] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        self._check_grid()
-        if len(self.idx) == 0:
-            raise ValueError("empty measure")
-        if self.idx.shape != (len(self.weights), self.dim):
-            raise ValueError("index/weight shape mismatch")
-        lo, spans = _key_range(self.idx)
-        if math.prod(spans) > _INT64_MAX:
-            self._hold(_CellTable(None, lo, spans, self.weights, self.idx))
-        else:
-            keys = _row_keys(self.idx.astype(np.int64, copy=False), lo, spans)
-            self._hold(_CellTable(keys, lo, spans, self.weights))
-
-    @classmethod
-    def _of(
-        cls,
-        base: int,
-        dim: int,
-        level: int,
-        cells: _CellTable,
-        box_radius: int,
-        boundary_ambiguous: int = 0,
-        provenance: Optional[object] = None,
-    ) -> "GridMeasure":
-        """The measure of a _CellTable as a reduce makes it, checked as rows are."""
-        mu = cls.__new__(cls)
-        mu.base, mu.dim, mu.level, mu.weights = base, dim, level, cells.weights
-        mu.box_radius, mu.boundary_ambiguous = box_radius, boundary_ambiguous
-        mu.provenance = provenance
-        mu._check_grid()
+    def __init__(
+        self, base: int, dim: int, level: int, cells: _CellTable, box_radius: int,
+        boundary_ambiguous: int = 0, provenance: Optional[object] = None,
+    ):
+        if dim not in (1, 2):
+            raise ValueError(f"dimension must be 1 or 2, got {dim}")
+        if base < 2:
+            raise ValueError(f"base must be >= 2, got {base}")
+        if level < 0:
+            raise ValueError(f"level must be nonnegative, got {level}")
+        held = cells.wide if cells.keys is None else cells.keys
         if len(cells.weights) == 0:
             raise ValueError("empty measure")
-        if len(cells.spans) != dim:
+        if len(cells.spans) != dim or len(held) != len(cells.weights):
             raise ValueError("index/weight shape mismatch")
-        mu._hold(cells)
-        return mu
-
-    def _check_grid(self) -> None:
-        if self.dim not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {self.dim}")
-        if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
-        if self.level < 0:
-            raise ValueError(f"level must be nonnegative, got {self.level}")
-
-    def _hold(self, cells: _CellTable) -> None:
-        """Check and keep the cells: positive weights, sorted cells, in the origin box."""
-        if np.any(cells.weights <= 0):
-            raise ValueError("weights must be positive integers")
+        _positive(cells.weights)
         if cells.keys is not None:
-            increasing = cells.keys[1:] > cells.keys[:-1]
+            increasing = held[1:] > held[:-1]
         else:
-            idx = cells.wide
-            increasing = idx[1:, 0] > idx[:-1, 0]
-            if self.dim == 2:
-                increasing |= (idx[1:, 0] == idx[:-1, 0]) & (idx[1:, 1] > idx[:-1, 1])
+            increasing = held[1:, 0] > held[:-1, 0]
+            if dim == 2:
+                increasing |= (held[1:, 0] == held[:-1, 0]) & (held[1:, 1] > held[:-1, 1])
         if not increasing.all():
             raise ValueError("cells must be sorted lexicographically without repeats")
-        edge = self.box_radius * self.base**self.level
+        edge = box_radius * base**level
         top = max(l + s - 1 for l, s in zip(cells.lo, cells.spans))
         if min(cells.lo) < -edge or top > edge - 1:
             raise ValueError("cell outside origin box")
+        self.base, self.dim, self.level = base, dim, level
+        self.box_radius, self.boundary_ambiguous = box_radius, boundary_ambiguous
+        self.provenance = provenance
+        self.weights = cells.weights
         self._cells = cells
-        if cells.keys is None:
-            self.idx = cells.wide
 
-    def __getattr__(self, name: str):
-        # a keyed measure has no idx until it is read: decode it once and keep it
-        if name != "idx" or "_cells" not in self.__dict__:
-            raise AttributeError(name)
-        self.idx = self._cells.rows()
-        return self.idx
+    @functools.cached_property
+    def idx(self) -> np.ndarray:
+        """The (m, dim) cell rows, decoded from the keys on first read."""
+        return self._cells.rows()
 
     @property
     def total(self) -> int:
@@ -495,29 +469,24 @@ class GridMeasure:
         if n == self.level:
             return self
         cells = _coarse_cells(self._cells, self.base ** (self.level - n))
-        return GridMeasure._of(
-            self.base, self.dim, n, cells, self.box_radius, self.boundary_ambiguous
-        )
+        return GridMeasure(self.base, self.dim, n, cells, self.box_radius, self.boundary_ambiguous)
 
     def affine_badic(self, power: int, shift: Sequence[int]) -> "GridMeasure":
         """Image under z -> b^power * z + c with c a level-(level-power) corner.
 
         shift gives the corner index per axis at level (level - power).
-        Cells permute, so this is exact and entropy-preserving.
+        Cells permute, so this is exact and entropy-preserving: the keys
+        stay as they are, and the codec's lo moves by shift.
         """
         if not 0 <= power <= self.level:
             raise ValueError(f"power must lie in [0, level], got {power}")
-        shift = np.asarray(shift, dtype=np.int64).reshape(1, self.dim)
+        shift = np.asarray(shift, dtype=np.int64).reshape(self.dim)
         new_level = self.level - power
-        cells = _reduce_cells(self.idx + shift, self.weights)
-        return GridMeasure._of(
-            self.base,
-            self.dim,
-            new_level,
-            cells,
-            _box_radius(cells.lo, cells.spans, self.base, new_level),
-            self.boundary_ambiguous,
-        )
+        held = self._cells
+        lo = [l + int(s) for l, s in zip(held.lo, shift)]
+        cells = held._replace(lo=lo, wide=None if held.wide is None else held.wide + shift)
+        radius = _box_radius(lo, held.spans, self.base, new_level)
+        return GridMeasure(self.base, self.dim, new_level, cells, radius, self.boundary_ambiguous)
 
     def equals(self, other: "GridMeasure") -> bool:
         """Weight-for-weight equality of the cell tables.
@@ -575,11 +544,11 @@ def measure_from_points(
         raise ValueError("empty measure: no points to bin")
     rows, flagged = _bin_points(points, base, level)
     if weights is not None:
-        weights = np.asarray(weights, dtype=np.int64)
+        weights = _positive(np.asarray(weights, dtype=np.int64))
     cells = _reduce_cells(rows, weights)
     if box_radius is None:
         box_radius = _box_radius(cells.lo, cells.spans, base, level)
-    return GridMeasure._of(base, rows.shape[1], level, cells, box_radius, flagged)
+    return GridMeasure(base, rows.shape[1], level, cells, box_radius, flagged)
 
 
 def measure_from_cells(
@@ -593,10 +562,10 @@ def measure_from_cells(
     else:
         idx = np.array([[int(k[0]), int(k[1])] for k in cells], dtype=np.int64)
     w = np.array([int(v) for v in cells.values()], dtype=np.int64)
-    table = _reduce_cells(idx, w)
+    table = _reduce_cells(idx, _positive(w))
     if box_radius is None:
         box_radius = _box_radius(table.lo, table.spans, base, level)
-    return GridMeasure._of(base, dim, level, table, box_radius)
+    return GridMeasure(base, dim, level, table, box_radius)
 
 
 # === serialization ===
@@ -662,8 +631,8 @@ def load_measure(text: str, base: Optional[int] = None) -> GridMeasure:
         rows.append([int(p) for p in parts[:dim]])
         weights.append(int(parts[dim]))
     idx = np.array(rows, dtype=np.int64).reshape(len(rows), dim)
-    w = np.array(weights, dtype=np.int64)
-    mu = GridMeasure(base, dim, level, idx, w, _box_radius(*_key_range(idx), base, level))
+    cells = _encode_rows(idx, np.array(weights, dtype=np.int64))
+    mu = GridMeasure(base, dim, level, cells, _box_radius(cells.lo, cells.spans, base, level))
     if mu.total != total:
         raise ValueError(f"dump total {total} does not match cell sum {mu.total}")
     return mu
@@ -689,7 +658,7 @@ def convolve(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
         block_w = mu.weights[lo : lo + chunk, None] * nu.weights[None, :]
         sums.add(block_idx.reshape(-1, mu.dim), block_w.reshape(-1))
     cells = sums.table()
-    return GridMeasure._of(
+    return GridMeasure(
         mu.base,
         mu.dim,
         mu.level,

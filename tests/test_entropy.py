@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from solenoidlab.entropy import (
 from solenoidlab.gridmeasure import (
     GridMeasure,
     _coarsen_each,
+    _reduce_cells,
     _reduce_rows,
     _RowSums,
     convolve,
@@ -257,7 +257,8 @@ def test_profile_records_each_levels_cells():
 def test_multi_level_readers_match_per_level_coarsen(seed, base, dim, cells, data):
     level = {2: 7, 3: 4, 5: 3}[base]
     # cells on both sides of the origin, and a boundary tally to carry along
-    mu = replace(random_measure(seed, base, dim, level, cells), boundary_ambiguous=seed % 7)
+    table = random_measure(seed, base, dim, level, cells)
+    mu = GridMeasure(base, dim, level, table._cells, table.box_radius, seed % 7)
     levels = data.draw(st.lists(st.integers(0, level), min_size=1, max_size=10))
     lv = sorted(set(levels))
     oracle = [mu.coarsen(n) for n in lv]
@@ -299,8 +300,7 @@ def test_profile_memory_stays_at_one_coarsening():
     # profile that held one of them beside the next would need twice the
     # memory of one coarsening
     rng = np.random.default_rng(5)
-    idx, w = _reduce_rows(rng.integers(-(2**14), 2**14, size=(1 << 19, 2)))
-    mu = GridMeasure(2, 2, 14, idx, w, 1)
+    mu = GridMeasure(2, 2, 14, _reduce_cells(rng.integers(-(2**14), 2**14, size=(1 << 19, 2))), 1)
     assert 2 * mu.coarsen(12).ncells > mu.ncells
     one = _traced_peak(lambda: mu.coarsen(13))
     profile = _traced_peak(lambda: entropy_profile(mu, range(1, 15)))

@@ -18,11 +18,12 @@ from solenoidlab.gridmeasure import (
     _bin_points,
     _CellTable,
     _cell_rows,
-    _recode,
+    _encode_rows,
     _reduce_cells,
     _reduce_rows,
     _row_keys,
     _RowSums,
+    _transcode,
     convolve,
     dump_measure,
     load_measure,
@@ -133,6 +134,9 @@ def test_affine_badic_permutes_cells():
     assert moved.level == mu.level - 1
     assert moved.total == mu.total
     assert sorted(moved.weights) == sorted(mu.weights)
+    shifted = {(k1 + 8, k2 - 8): w for (k1, k2), w in mu.cells().items()}
+    want = measure_from_cells(2, 2, 3, shifted)
+    assert moved.equals(want) and moved.box_radius == want.box_radius
 
 
 def test_affine_badic_identity():
@@ -232,7 +236,7 @@ def test_cell_table_order_is_enforced(seed, fault):
         k = int(rng.integers(0, len(idx) - 1))
         idx[k + 1] = idx[k]
     with pytest.raises(ValueError, match="sorted"):
-        GridMeasure(3, dim, 2, idx, mu.weights.copy(), mu.box_radius)
+        GridMeasure(3, dim, 2, _encode_rows(idx, mu.weights.copy()), mu.box_radius)
     lines = text.splitlines()
     body = [" ".join(str(int(v)) for v in row) + f" {w}" for row, w in zip(idx, mu.weights)]
     with pytest.raises(ValueError, match="sorted"):
@@ -449,13 +453,15 @@ def test_empty_measure_rejected():
 def test_weights_must_be_positive():
     with pytest.raises(ValueError):
         GridMeasure(
-            2,
-            1,
-            1,
-            np.array([[0]], dtype=np.int64),
-            np.array([0], dtype=np.int64),
-            1,
+            2, 1, 1, _encode_rows(np.array([[0]], dtype=np.int64), np.array([0], dtype=np.int64)), 1
         )
+
+
+def test_measures_compare_by_identity_without_raising():
+    mu = random_measure(3, cells=20)
+    other = measure_from_cells(mu.base, mu.dim, mu.level, mu.cells(), box_radius=mu.box_radius)
+    assert other.equals(mu) and mu.ncells > 1
+    assert mu == mu and not (mu == other) and mu != other
 
 
 # === keyed cell tables ===
@@ -472,9 +478,9 @@ def _keyed_and_row_built(data, base=3):
     w = rng.integers(1, data.draw(st.sampled_from([2, 50, 2**40])), size=m)
     cells = _reduce_cells(rows, w)
     radius = gridmeasure._box_radius(cells.lo, cells.spans, base, level)
-    keyed = GridMeasure._of(base, dim, level, cells, radius, boundary_ambiguous=3)
+    keyed = GridMeasure(base, dim, level, cells, radius, boundary_ambiguous=3)
     idx, sums = reference_reduce(rows, w)
-    return keyed, GridMeasure(base, dim, level, idx, sums, radius, 3)
+    return keyed, GridMeasure(base, dim, level, _encode_rows(idx, sums), radius, 3)
 
 
 @given(st.data())
@@ -519,22 +525,20 @@ def test_keyed_coarsen_matches_a_dict_of_floored_cells(data):
 
 def test_idx_is_decoded_at_most_once(monkeypatch):
     calls = []
-    read = GridMeasure.__getattr__
+    read = _CellTable.rows
+    # entropies decode the 1-column histograms of weights, never a cell table
     monkeypatch.setattr(
-        GridMeasure, "__getattr__", lambda mu, name: calls.append(name) or read(mu, name)
+        _CellTable, "rows", lambda cells: calls.append(len(cells.spans)) or read(cells)
     )
     mu = random_measure(7, base=3, level=3, cells=40)
-    assert calls == [] and "idx" not in vars(mu)
+    assert "idx" not in vars(mu)
     entropy_profile(mu, range(4))
     mu.coarsen(1)
-    assert calls == []
+    mu.affine_badic(1, (2, -3))
+    assert 2 not in calls
     first = mu.idx
     mu.cells(), mu.centers(), dump_measure(mu), conditional_entropy(mu, 3, 1)
-    assert mu.idx is first and calls == ["idx"]
-    built = GridMeasure(3, 2, 3, first, mu.weights, mu.box_radius)
-    assert built.idx is first and built.equals(mu)
-    built.cells(), built.centers(), dump_measure(built)
-    assert calls == ["idx"]  # a measure built from rows keeps them
+    assert mu.idx is first and calls.count(2) == 1
 
 
 @given(st.data(), st.sampled_from(["shuffle", "repeat", "zero", "negative", "outside"]))
@@ -567,58 +571,66 @@ def test_bad_tables_raise_from_rows_and_from_keys(data, fault):
             w[data.draw(st.integers(0, len(w) - 1))] = 0 if fault == "zero" else -5
             match = "positive"
     with pytest.raises(ValueError, match=match):
-        GridMeasure(keyed.base, keyed.dim, keyed.level, idx, w, radius)
+        GridMeasure(keyed.base, keyed.dim, keyed.level, _encode_rows(idx, w), radius)
     with pytest.raises(ValueError, match=match):
-        GridMeasure._of(
+        GridMeasure(
             keyed.base, keyed.dim, keyed.level, _CellTable(keys, cells.lo, cells.spans, w), radius
         )
 
 
-@given(
-    st.integers(1, 3),
-    st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 30)), min_size=3, max_size=3),
-    st.integers(1, 50),
-    st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=80, deadline=None)
-def test_recode_matches_keys_made_from_rows(ncols, box, m, seed):
-    rng = np.random.default_rng(seed)
-    lo = [l for l, _ in box[:ncols]]
-    spans = [s for _, s in box[:ncols]]
-    rows = np.column_stack([rng.integers(l, l + s, size=m) for l, s in zip(lo, spans)])
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_transcode_is_decode_floor_encode(data):
+    ncols = data.draw(st.integers(1, 3))
+    base = data.draw(st.sampled_from([2, 3, 5]))
+    factor = data.draw(st.integers(1, base**4))
+    box = [data.draw(st.tuples(st.integers(-300, 300), st.integers(1, 200))) for _ in range(ncols)]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m = data.draw(st.integers(1, 60))
+    rows = np.column_stack([rng.integers(l, l + s, size=m) for l, s in box])
     part = _reduce_cells(rows)
+    # the box of the floored rows, grown on either side as a union's codec is
     grow = rng.integers(0, 4, size=(2, ncols))
-    new_lo = [l - int(g) for l, g in zip(part.lo, grow[0])]
-    new_spans = [s + int(a) + int(b) for s, a, b in zip(part.spans, grow[0], grow[1])]
-    out = np.empty(len(part.keys), dtype=np.int64)
-    _recode(part, new_lo, new_spans, out)
-    assert np.array_equal(out, _row_keys(part.rows(), new_lo, new_spans))
+    new_lo = [l // factor - int(g) for l, g in zip(part.lo, grow[0])]
+    new_spans = [
+        (l + s - 1) // factor + int(g) - c + 1
+        for l, s, g, c in zip(part.lo, part.spans, grow[1], new_lo)
+    ]
+    want = _row_keys(np.floor_divide(part.rows(), factor), new_lo, new_spans)
+    assert np.array_equal(_transcode(part, factor, new_lo, new_spans), want)
+    out = np.full(len(part.keys), -1, dtype=np.int64)
+    assert _transcode(part, factor, new_lo, new_spans, out) is out
+    assert np.array_equal(out, want)
 
 
-def test_a_zero_weight_cell_dropped_by_bincount_leaves_a_tight_codec():
-    # five slots for five rows: bincount counts them and drops the zero
-    # sums, so the box radius is that of the one cell kept
-    mu = measure_from_cells(2, 1, 0, {-3: 0, -2: 0, -1: 0, 0: 0, 1: 5})
-    assert mu.cells() == {1: 5} and mu.box_radius == 2
-    assert mu.equals(measure_from_cells(2, 1, 0, {1: 5}))
-    with pytest.raises(ValueError, match="positive"):  # a sorted table keeps the zero sum
-        measure_from_cells(2, 1, 0, {-300: 0, 1: 5})
+def test_zero_weights_raise_on_every_path():
+    # the first table is dense enough to count by bincount, the second
+    # sorts; both are refused before either reduce
+    for cells in ({-3: 0, -2: 0, -1: 0, 0: 0, 1: 5}, {-300: 0, 1: 5}):
+        with pytest.raises(ValueError, match="weights must be positive integers"):
+            measure_from_cells(2, 1, 0, cells)
+        points = np.array(list(cells), dtype=float)
+        with pytest.raises(ValueError, match="weights must be positive integers"):
+            measure_from_points(points, 2, 0, weights=np.array(list(cells.values())))
 
 
 def test_tables_past_int64_build_and_round_trip():
-    big = 2**61 - 1  # the box radius goes through float64, exact up to 2^53 + 1 per unit
+    big = 2**61  # the box radius is an exact integer ceiling, so 2^61 + 1 here
     rows = np.array([[big, -big], [-big, big], [big, -big], [0, 0]], dtype=np.int64)
     cells = _reduce_cells(rows, np.array([1, 2, 3, 4], dtype=np.int64))
     assert cells.keys is None and cells.rows().tolist() == [[-big, big], [0, 0], [big, -big]]
-    mu = GridMeasure._of(2, 2, 0, cells, big + 1)
-    built = GridMeasure(2, 2, 0, cells.rows(), cells.weights, big + 1)
+    assert gridmeasure._box_radius(cells.lo, cells.spans, 2, 0) == big + 1
+    mu = GridMeasure(2, 2, 0, cells, big + 1)
+    built = GridMeasure(2, 2, 0, _encode_rows(cells.rows(), cells.weights), big + 1)
     assert mu.equals(built) and mu.cells() == {(-big, big): 2, (0, 0): 4, (big, -big): 4}
     text = dump_measure(mu)
     assert load_measure(text).equals(mu) and dump_measure(load_measure(text)) == text
-    half = GridMeasure(2, 2, 2, cells.rows(), cells.weights, big).coarsen(1)
+    moved = mu.affine_badic(0, (-1, 1))
+    assert moved.cells() == {(-big - 1, big + 1): 2, (-1, 1): 4, (big - 1, 1 - big): 4}
+    half = GridMeasure(2, 2, 2, cells, big).coarsen(1)
     assert half.cells() == {(-big // 2, big // 2): 2, (0, 0): 4, (big // 2, -big // 2): 4}
     with pytest.raises(ValueError, match="sorted"):
-        GridMeasure(2, 2, 0, rows[:2], np.array([1, 1]), big + 1)
+        GridMeasure(2, 2, 0, _encode_rows(rows[:2], np.array([1, 1])), big + 1)
     sums = _RowSums()
     sums.add(rows[:2], np.array([1, 2]))
     sums.add(rows[2:], np.array([3, 4]))
