@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gridmeasure import GridMeasure, _coarsen_each
 from .params import SystemParams, TrigPoly
 from .rng import SplitMix64
 from .words import (
@@ -42,8 +41,6 @@ __all__ = [
     "exponential_separation_test",
     "TransversalityWitness",
     "transversality_search",
-    "AtomlessnessTable",
-    "atomlessness_probe",
 ]
 
 
@@ -196,7 +193,11 @@ def gamma_exception_scan(
     while 2.0 * sup * r2**terms / (1.0 - r2) > rho / 10.0 and terms < 600:
         terms += 1
     ns = np.arange(1, terms + 1)
-    coeffs = phi((x_prime + 1.0) / b**ns) - phi(x_prime / b**ns)
+    # float powers: int64 ones wrap past b^n = 2^63; past the float range
+    # they are inf, and both addresses of that term are 0
+    with np.errstate(over="ignore"):
+        powers = float(b) ** ns
+    coeffs = phi((x_prime + 1.0) / powers) - phi(x_prime / powers)
     if m is not None:
         if not 1 <= m <= terms:
             raise ValueError(f"witness index m={m} out of range 1..{terms}")
@@ -506,57 +507,3 @@ def _continuation_margins(
     a1 = min(float(np.abs(dh).min()), float(np.abs(dhp).min())) - tail
     a2 = float(np.abs(dh[:, None, :] - dhp[None, :, :]).min()) - 2.0 * tail
     return a1, a2
-
-
-# === atomlessness ===
-
-
-@dataclass
-class AtomlessnessTable:
-    x_grid: list[float]
-    theta_grid: list[float]
-    n_list: list[int]
-    values: np.ndarray  # (x, theta, n) max single-cell masses
-
-    @property
-    def headline(self) -> float:
-        return float(self.values[:, :, -1].max())
-
-    def non_increasing(self) -> bool:
-        return bool(np.all(np.diff(self.values, axis=2) <= 1e-12))
-
-
-def atomlessness_probe(
-    params: SystemParams,
-    x_grid: Sequence[float],
-    theta_grid: Sequence[float],
-    n_list: Sequence[int],
-    depth: Optional[int] = None,
-    mode: str = "exhaustive",
-    sample_count: int = 0,
-    seed: int = 0,
-    threads: Optional[int] = None,
-) -> AtomlessnessTable:
-    """Max projected cell mass per (base point, angle, level); rows shrink with level.
-
-    threads caps the workers of each build (every CPU when None).
-    """
-    from .fiber import FiberMeasureSpec, build_fiber_measure, depth_for_resolution
-    from .projection import project_measure
-
-    ns = sorted(set(int(n) for n in n_list))
-    if not ns or ns[0] < 1:
-        raise ValueError("levels must be positive")
-    n_max = ns[-1]
-    if depth is None:
-        depth = depth_for_resolution(params, n_max)
-    values = np.zeros((len(x_grid), len(theta_grid), len(ns)))
-    for i, x in enumerate(x_grid):
-        spec = FiberMeasureSpec(
-            params, float(x), depth, n_max, mode=mode, sample_count=sample_count, seed=seed
-        )
-        mu = build_fiber_measure(spec, threads=threads)
-        for j, theta in enumerate(theta_grid):
-            proj = project_measure(mu, float(theta))
-            values[i, j] = _coarsen_each(proj, ns, GridMeasure.max_cell_mass)
-    return AtomlessnessTable([float(x) for x in x_grid], [float(t) for t in theta_grid], ns, values)

@@ -181,11 +181,13 @@ def fiber_dimension(
     """Entropy-slope estimate of the fiber measure dimension at x.
 
     Fits H(m_x, L_l) against l over the slope window of levels
-    1..resolution (the two coarsest and two finest trimmed).  In sampled
-    mode it also drops any level whose occupied-cell count, read from the
-    entropy profile, exceeds a tenth of the sample budget (where the
-    empirical measure goes flat).  threads caps the workers of the build
-    (every CPU when None).
+    1..resolution (the two coarsest and two finest trimmed).  Unless the
+    word list is every depth-N word once (exhaustive mode, or sampled
+    mode with b^N samples, which fill the same measure), it also drops
+    any level whose occupied-cell count, read from the entropy profile,
+    exceeds a tenth of the sample budget (where the empirical measure
+    goes flat).  threads caps the workers of the build (every CPU when
+    None).
     """
     spec = FiberMeasureSpec(
         params, x, depth, resolution, mode=mode, sample_count=sample_count, seed=seed
@@ -194,7 +196,7 @@ def fiber_dimension(
     levels = list(range(1, resolution + 1))
     prof = entropy_profile(mu, levels)
     keep = _slope_window(levels)
-    if mode == "sampled":
+    if not spec.all_words:
         occupied = dict(zip(prof.levels, prof.cells))
         keep = [l for l in keep if occupied[l] <= 0.1 * spec.total_words]
     if len(keep) < 2:

@@ -37,7 +37,6 @@ __all__ = [
     "porosity_check",
     "GrowthReport",
     "entropy_growth_experiment",
-    "decomposition_gap",
     "mix_measures",
     "binary_entropy",
 ]
@@ -294,15 +293,6 @@ def entropy_growth_experiment(
     base_rate = entropy(fiber_n, n) / n
     conv_rate = entropy(conv, n) / n
     return GrowthReport(n, base_rate, conv_rate, conv_rate - base_rate)
-
-
-def decomposition_gap(mu: GridMeasure, m: int, n: int) -> float:
-    """| (1/n) H(mu, L_n) - E_{0<=i<n} (1/m) H(component at scale m) |.
-
-    The multi-scale decomposition bound says this is O(m/n + log R / n).
-    """
-    sweep = component_entropy_distribution(mu, range(0, n), m)
-    return abs(entropy(mu, n) / n - sweep.mean())
 
 
 def mix_measures(mu: GridMeasure, nu: GridMeasure, p: int, q: int) -> GridMeasure:

@@ -7,20 +7,23 @@ the discarded tail sup|phi| |gamma|^N / (1 - |gamma|) has to fit inside
 one cell at the requested level, otherwise the bin assignment would be
 fiction and the build refuses to run.
 
-Exhaustive mode enumerates all b^N words (budget-capped); sampled mode
-draws a stratified word sample from a named counter-mode stream.  Both
-evaluate tiles of words with the prefix-tree kernel of the words module,
-which grows S_n = S_{n-1} + gamma^{n-1} phi(a_n) once per distinct
-prefix: an exhaustive tile is a leaf range of the depth-N tree, a
-sampled tile a range of strata grown as the tree, repeated by quota and
-continued by per-sample random suffix digits.  A stream of about 2^16-row
-tiles is handed out by one counter to the calling thread plus one thread
-per further worker (threads caps the workers; by default there is one per
-CPU the process may run on), and a tile holds the same bits on any worker
-count.  The thread that filled a tile also bins it and reduces it to an
-integer count table, which it folds into the running sums under one
-lock; integer sums do not depend on the order the tiles finish in, so
-the measure is the same on any worker count too.
+Every build fills one stratified sample of words: the leading symbols
+of a word pick its stratum, the strata share the samples evenly (to
+within one), and the other symbols are per-sample random suffix digits
+from a named counter-mode stream.  Exhaustive mode (budget-capped) is the
+case where every depth-N word is its own stratum and is taken once, as
+is sampled mode with b^N samples; both then fill the same bits with no
+draws.  Tiles of strata are evaluated with the prefix-tree kernel of the
+words module, which grows S_n = S_{n-1} + gamma^{n-1} phi(a_n) once per
+distinct prefix, repeats each stratum by its quota and continues it by
+the suffix digits.  A stream of about 2^16-row tiles is handed out by
+one counter to the calling thread plus one thread per further worker
+(threads caps the workers; by default there is one per CPU the process
+may run on), and a tile holds the same bits on any worker count.  The
+thread that filled a tile also bins it and reduces it to an integer
+count table, which it folds into the running sums under one lock;
+integer sums do not depend on the order the tiles finish in, so the
+measure is the same on any worker count too.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -40,16 +43,13 @@ from .words import (
     _branch_sums,
     _first_samples,
     _stratified_suffixes,
-    enumerate_words,
     stratum_layout,
-    word_address,
 )
 
 __all__ = [
     "EXHAUSTIVE_WORD_BUDGET",
     "FiberMeasureSpec",
     "build_fiber_measure",
-    "refine_fiber_measure",
     "map_fiber_tiles",
     "certified_level",
     "depth_for_resolution",
@@ -146,6 +146,15 @@ class FiberMeasureSpec:
             return self.params.b**self.depth
         return self.sample_count
 
+    @property
+    def all_words(self) -> bool:
+        """Whether the word list is every depth-N word once, in lexicographic order.
+
+        True in exhaustive mode, and in sampled mode with b^N samples:
+        each word is then its own stratum, with no suffix digits to draw.
+        """
+        return self.total_words == self.params.b**self.depth
+
 
 def _cpus() -> int:
     """CPUs this process may run on."""
@@ -162,41 +171,37 @@ def map_fiber_tiles(
 ) -> None:
     """Fold tile_map over tiles of the branch sums of the spec's word list.
 
-    A tile is a leaf range of the depth-N tree (exhaustive) or a strata
-    range (sampled) of about _TILE_ROWS rows.  One shared counter hands
-    the tiles out to the calling thread and to threads started for this
-    call: threads workers in all, or one per CPU of the process when
-    threads is None, and never more than there are tiles.  The thread that
-    filled a tile calls tile_map(values, row0) on the tile's own array,
-    row0 being the index of its first row in the whole word list, and
-    fold(result) under the one lock of the call.  Every node of the tree
-    gets the same float operations in any range it is grown in, and
-    counter-mode draws do not depend on the range, so each tile holds the
-    same bits on any number of workers; tiles finish in any order.  The
-    first error stops the hand-out and is raised once every thread has
-    joined.
+    The word list is the spec's stratified sample (see stratum_layout),
+    and a tile is a range of its strata of about _TILE_ROWS rows.  When
+    the spec takes every word once, the strata are the leaves of the
+    depth-N tree and a tile is a leaf range, filled with no quotas and
+    no suffix digits.  One shared counter hands the tiles out to the
+    calling thread and to threads started for this call: threads workers
+    in all, or one per CPU of the process when threads is None, and
+    never more than there are tiles.  The thread that filled a tile calls
+    tile_map(values, row0) on the tile's own array, row0 being the index
+    of its first row in the whole word list, and fold(result) under the
+    one lock of the call.  Every node of the tree gets the same float
+    operations in any range it is grown in, and counter-mode draws do
+    not depend on the range, so each tile holds the same bits on any
+    number of workers; tiles finish in any order.  The first error stops
+    the hand-out and is raised once every thread has joined.
     """
     spec.validate()
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be positive, got {threads}")
     p = spec.params
-    if spec.mode == "exhaustive":
-        # one unit per word: the leaves of the depth-N tree
-        units = count = p.b**spec.depth
+    # one unit per stratum, holding base_quota or base_quota + 1 samples
+    count = spec.total_words
+    s, units, _ = stratum_layout(p.b, spec.depth, count)
+    every = spec.all_words
+    stream = SplitMix64(spec.seed, "fiber.samples")
 
-        def sums(a, c, out):
-            _branch_sums(p, spec.x, spec.depth, a, c, out=out)
-
-    else:
-        # one unit per stratum, holding base_quota or base_quota + 1 samples
-        count = spec.sample_count
-        s, units, _ = stratum_layout(p.b, spec.depth, count)
-        stream = SplitMix64(spec.seed, "fiber.samples")
-
-        def sums(a, c, out):
-            _, quotas, suffix = _stratified_suffixes(
-                p.b, spec.depth, count, stream, a, c
-            )
+    def sums(a, c, out):
+        if every:  # one word per stratum: no quotas, no suffix digits
+            _branch_sums(p, spec.x, s, a, c, out=out)
+        else:
+            _, quotas, suffix = _stratified_suffixes(p.b, spec.depth, count, stream, a, c)
             _branch_sums(p, spec.x, s, a, c, quotas, suffix, out=out)
 
     cuts = list(range(0, units, max(1, _TILE_ROWS * units // count))) + [units]
@@ -267,60 +272,3 @@ def build_fiber_measure(
     return GridMeasure(
         b, 2, level, sums.table(), spec.params.box_radius(), flagged, provenance=spec
     )
-
-
-def refine_fiber_measure(
-    params: SystemParams,
-    x: float,
-    n_words: int,
-    children: Mapping[tuple, GridMeasure],
-    level: int,
-) -> GridMeasure:
-    """Superpose the affine branch images of per-word child measures, exactly.
-
-    The child for word w (k = n_words letters) must be an exhaustive build
-    at the branch point word_address(params, x, w), all children at one
-    depth N.  Its image under y -> gamma^k y + S(x, w) is then, by the
-    cocycle S(x, w + i) = S(x, w) + gamma^k S(w(x), i), the set of
-    depth-(k+N) sums at x over the leaf range [idx(w) b^N, (idx(w)+1) b^N),
-    idx(w) being w's lexicographic index, and those ranges tile the tree.
-    So the cells are those of the direct depth-(k+N) build at x, which is
-    what this returns, with the children's boundary tallies added to its
-    own.  The children's cells are not read, only their placement: a
-    binned child cannot be pushed forward exactly, since a cell center
-    lies up to |gamma|^k half a cell diagonal from its points, across
-    target-cell edges.  The direct build enforces the word budget on k+N.
-    """
-    if n_words < 1:
-        raise ValueError("n_words must be positive")
-    want = enumerate_words(params.b, n_words)
-    for w in want:
-        if w not in children:
-            raise ValueError(f"missing child word {w}")
-    depths = set()
-    for w in want:
-        child = children[w]
-        src = child.provenance
-        if (
-            src is None
-            or src.mode != "exhaustive"
-            or src.params != params
-            or src.x != word_address(params, x, w)
-        ):
-            raise ValueError(
-                f"child {w} is not an exhaustive fiber build at its branch point"
-            )
-        if level > child.level:
-            raise ValueError(
-                f"target level {level} finer than child level {child.level}"
-            )
-        depths.add(src.depth)
-    if len(depths) != 1:
-        raise ValueError("children must share one depth")
-    direct = build_fiber_measure(
-        FiberMeasureSpec(params, x, n_words + depths.pop(), level)
-    )
-    flagged = direct.boundary_ambiguous + sum(
-        children[w].boundary_ambiguous for w in want
-    )
-    return GridMeasure(params.b, 2, level, direct._cells, params.box_radius(), flagged)

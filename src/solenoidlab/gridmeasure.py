@@ -457,9 +457,6 @@ class GridMeasure:
         c = (self.idx + 0.5) * scale
         return c[:, 0] if self.dim == 1 else c
 
-    def max_cell_mass(self) -> float:
-        return int(self.weights.max()) / self.total
-
     def coarsen(self, n: int) -> "GridMeasure":
         """Reduce to level n <= level by exact integer aggregation."""
         if n > self.level:

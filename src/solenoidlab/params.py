@@ -21,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -115,11 +115,6 @@ class TrigPoly:
         xs = np.arange(samples, dtype=np.float64) / samples
         return float(np.max(np.abs(self(xs))))
 
-    def is_constant(self) -> bool:
-        return all(c == 0.0 for c in self.cos_coeffs) and all(
-            c == 0.0 for c in self.sin_coeffs
-        )
-
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -175,11 +170,6 @@ class SystemParams:
     def attractor_radius(self) -> float:
         """All fiber sums land in the closed disc of this radius: sup|phi| / (1 - |gamma|)."""
         return self.phi_sup / (1.0 - self.gamma_abs)
-
-    @property
-    def fiber_diameter_bound(self) -> float:
-        """2 sup|phi| / (1 - |gamma|), twice the attractor radius."""
-        return 2.0 * self.phi_sup / (1.0 - self.gamma_abs)
 
     def tail_bound(self, depth: int) -> float:
         """Upper bound for the discarded tail of a fiber sum truncated at depth terms."""

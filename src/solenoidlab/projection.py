@@ -101,10 +101,6 @@ class SweepResult:
     def max_rate(self) -> float:
         return float(self.matrix.max())
 
-    @property
-    def beta_hat(self) -> float:
-        return self.min_rate
-
     def argmin(self) -> tuple[float, float]:
         i, j = np.unravel_index(int(self.matrix.argmin()), self.matrix.shape)
         return self.x_grid[i], self.theta_grid[j]

@@ -10,15 +10,12 @@ from hypothesis import strategies as st
 from solenoidlab.checks import (
     _continuation_margins,
     _min_pairwise_gap,
-    atomlessness_probe,
     condition_h_probe,
     exponential_separation_test,
     gamma_exception_scan,
     transversality_search,
 )
-from solenoidlab.fiber import FiberMeasureSpec, build_fiber_measure
 from solenoidlab.params import SystemParams, TrigPoly
-from solenoidlab.projection import project_measure
 from solenoidlab.rng import SplitMix64
 from solenoidlab.words import enumerate_words, scale_hat, symbolic_sum
 
@@ -157,6 +154,24 @@ def test_exception_scan_constant_drive_clears_nothing(constant_system):
     assert report.certified_fraction == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(ValueError, match="witness precondition"):
         gamma_exception_scan(2, constant_system.phi, 1, 1, 0.3, 0.7, 0.05)
+
+
+def test_exception_scan_clears_cells_past_int64_powers():
+    # r2 = 0.9 and rho = 1e-3 take 116 terms; 2^n passes int64 from n = 63,
+    # where int64 powers wrapped to 0, the coefficients became NaN and no
+    # cell was ever cleared
+    cos = TrigPoly(0.0, (1.0,), ())
+    report = gamma_exception_scan(2, cos, 0, None, 0.2, 0.9, 1e-3)
+    assert report.terms > 63
+    assert report.certified_fraction > 0
+
+
+def test_exception_scan_base_4_past_int64_powers():
+    # 4^n passes int64 from n = 32: the scan must finish without dividing
+    # by a wrapped zero power (a RuntimeWarning is an error here)
+    cos = TrigPoly(0.0, (1.0,), ())
+    report = gamma_exception_scan(4, cos, 0, None, 0.2, 0.9, 1e-3)
+    assert report.terms > 32
 
 
 def test_exception_scan_validation():
@@ -342,47 +357,3 @@ def test_transversality_verify_confirms_witness(system_b2):
         SplitMix64(1, "transversality.verify"),
     )
     assert a1 > 0 and a2 > 0
-
-
-# ---------------------------------------------------------------- atomlessness
-
-
-def test_atomlessness_masses_shrink(system_b2):
-    table = atomlessness_probe(system_b2, [0.2, 0.7], [0.0, 0.3], [2, 3, 4])
-    assert table.values.shape == (2, 2, 3)
-    assert np.all(table.values > 0) and np.all(table.values <= 1.0)
-    assert table.non_increasing()
-    assert table.headline == pytest.approx(float(table.values[:, :, -1].max()))
-
-
-def test_atomlessness_point_mass_stays_atomic(zero_system):
-    table = atomlessness_probe(zero_system, [0.2], [0.1], [1, 2, 3], depth=12)
-    assert np.all(table.values == 1.0)
-    assert table.non_increasing()
-
-
-@given(
-    b=st.sampled_from([2, 3, 5]),
-    x=st.floats(0.0, 1.0, exclude_max=True),
-    theta=st.floats(0.0, 1.0, exclude_max=True),
-    n_list=st.lists(st.integers(1, 4), min_size=1, max_size=8),
-    seed=st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=25, deadline=None)
-def test_atomlessness_matches_per_level_coarsen(b, x, theta, n_list, seed):
-    params = SystemParams(b, 0.5, np.sqrt(2.0) - 1.0, TrigPoly(0.0, (1.0,), ()))
-    ns = sorted(set(n_list))
-    table = atomlessness_probe(
-        params, [x], [theta], n_list, depth=12, mode="sampled", sample_count=3000, seed=seed
-    )
-    spec = FiberMeasureSpec(params, x, 12, ns[-1], mode="sampled", sample_count=3000, seed=seed)
-    proj = project_measure(build_fiber_measure(spec), theta)
-    assert table.n_list == ns
-    assert table.values[0, 0].tolist() == [proj.coarsen(n).max_cell_mass() for n in ns]
-
-
-def test_atomlessness_validation(system_b2):
-    with pytest.raises(ValueError, match="positive"):
-        atomlessness_probe(system_b2, [0.2], [0.1], [])
-    with pytest.raises(ValueError, match="positive"):
-        atomlessness_probe(system_b2, [0.2], [0.1], [0, 2])

@@ -178,6 +178,16 @@ def test_fiber_dimension_sampled_drops_flat_levels(system_b2):
         )
 
 
+def test_fiber_dimension_same_for_both_spellings_of_all_words(cos_poly):
+    # sampled with b^depth samples takes every word once, so it builds the
+    # exhaustive measure, and no level of it is a flat sampling artefact
+    p = SystemParams(2, 0.3, math.sqrt(2.0) - 1.0, cos_poly)
+    whole = fiber_dimension(p, 0.3177, 10, 16)
+    every = fiber_dimension(p, 0.3177, 10, 16, mode="sampled", sample_count=2**10)
+    assert whole.fitted_levels == list(range(3, 15))
+    assert every == whole
+
+
 # ------------------------------------------------------------------ predictions
 
 

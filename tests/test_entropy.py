@@ -16,7 +16,6 @@ from solenoidlab.entropy import (
     binary_entropy,
     component_entropy_distribution,
     conditional_entropy,
-    decomposition_gap,
     entropy,
     entropy_growth_experiment,
     entropy_profile,
@@ -372,13 +371,6 @@ def test_growth_level_guard():
     fiber = random_measure(22, level=3)
     with pytest.raises(ValueError, match="below resolution"):
         entropy_growth_experiment(fiber, fiber, 4)
-
-
-def test_decomposition_gap_small_for_uniform():
-    cells = {(i, j): 1 for i in range(2**5) for j in range(2**5)}
-    mu = measure_from_cells(2, 2, 5, cells)
-    # every component of the uniform square has rate exactly 2
-    assert decomposition_gap(mu, 2, 4) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_mix_measures_total_and_ratio():

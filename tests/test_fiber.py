@@ -1,4 +1,4 @@
-"""Fiber measure construction: certification, oracles, refinement, determinism."""
+"""Fiber measure construction: certification, oracles, tiles, cocycle, determinism."""
 
 import math
 import sys
@@ -19,9 +19,8 @@ from solenoidlab.fiber import (
     certified_level,
     depth_for_resolution,
     map_fiber_tiles,
-    refine_fiber_measure,
 )
-from solenoidlab.gridmeasure import _bin_points, _reduce_rows, dump_measure, load_measure
+from solenoidlab.gridmeasure import _bin_points, _reduce_rows
 from solenoidlab.params import SystemParams, TrigPoly
 from solenoidlab.rng import SplitMix64
 from solenoidlab.words import (
@@ -246,14 +245,27 @@ def test_tile_map_matches_unmapped_values(b, depth, count, sampled, tile_rows, c
         )
     else:
         spec = FiberMeasureSpec(p, 0.37, depth, level)
+    # sampled with b^depth samples takes every word once: it fills the
+    # exhaustive mode's bits, with its tally
+    spellings = [
+        FiberMeasureSpec(p, 0.37, depth, level),
+        FiberMeasureSpec(
+            p, 0.37, depth, level, mode="sampled", sample_count=b**depth, seed=11
+        ),
+    ]
     rows, near = _bin_points(one_range(spec), b, level)
     idx, w = _reduce_rows(rows)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fiber, "_TILE_ROWS", tile_rows)
         mp.setattr(fiber, "_cpus", lambda: cpus)
         mu = build_fiber_measure(spec)
+        (whole, _), (every, _) = map(tile_values, spellings)
+        whole_mu, every_mu = map(build_fiber_measure, spellings)
     assert np.array_equal(mu.idx, idx) and np.array_equal(mu.weights, w)
     assert mu.boundary_ambiguous == near
+    assert np.array_equal(every.view(np.int64), whole.view(np.int64))
+    assert every_mu.equals(whole_mu)
+    assert every_mu.boundary_ambiguous == whole_mu.boundary_ambiguous
 
 
 @pytest.mark.parametrize("mode,sample_count", [("exhaustive", 0), ("sampled", 2000)])
@@ -435,115 +447,6 @@ def test_sampled_different_seed_differs(system_b2):
     assert not a.equals(b)
 
 
-def test_refinement_identity_small():
-    # child-path vs direct-path equality
-    p = SystemParams(2, 0.1, math.sqrt(2.0) - 1.0, TrigPoly(0.0, (1.0,), ()))
-    x = 0.3177
-    k, child_depth = 2, 8
-    child_level = certified_level(p, child_depth)
-    target = 3
-    children = {}
-    for j in enumerate_words(p.b, k):
-        cx = word_address(p, x, j)
-        children[j] = build_fiber_measure(
-            FiberMeasureSpec(p, cx, child_depth, child_level)
-        )
-    refined = refine_fiber_measure(p, x, k, children, target)
-    direct = build_fiber_measure(
-        FiberMeasureSpec(p, x, child_depth + k, target)
-    )
-    assert refined.total == direct.total == 2 ** (child_depth + k)
-    assert refined.cells() == direct.cells()
-
-
-def test_refine_missing_child_error(system_b2):
-    children = {
-        (0,): build_fiber_measure(FiberMeasureSpec(system_b2, 0.1, 6, 3))
-    }
-    with pytest.raises(ValueError, match="missing child"):
-        refine_fiber_measure(system_b2, 0.1, 1, children, 2)
-
-
-def test_refine_single_word_zero_drive(zero_system):
-    children = {
-        (j,): build_fiber_measure(
-            FiberMeasureSpec(zero_system, word_address(zero_system, 0.5, (j,)), 6, 10)
-        )
-        for j in range(2)
-    }
-    mu = refine_fiber_measure(zero_system, 0.5, 1, children, 5)
-    # every sum is exactly 0, a cell corner, which the half-open cells send
-    # to the cell on its upper right
-    assert mu.cells() == {(0, 0): 2**7}
-
-
-@given(
-    b=st.integers(2, 4),
-    k=st.integers(1, 2),
-    child_depth=st.integers(1, 5),
-    x=st.floats(0.0, 1.0, exclude_max=True),
-    gamma_abs=st.floats(0.3, 0.8),
-    coarser=st.integers(0, 3),
-)
-@settings(max_examples=40, deadline=None)
-def test_refined_equals_direct_build(b, k, child_depth, x, gamma_abs, coarser):
-    while b ** (k + child_depth) > 2000:
-        child_depth -= 1
-    p = SystemParams(b, gamma_abs, 0.3, TrigPoly(0.1, (1.0, 0.4), (0.2,)))
-    child_level = certified_level(p, child_depth)
-    target = max(0, child_level - coarser)
-    children = {
-        w: build_fiber_measure(
-            FiberMeasureSpec(p, word_address(p, x, w), child_depth, child_level)
-        )
-        for w in enumerate_words(b, k)
-    }
-    refined = refine_fiber_measure(p, x, k, children, target)
-    direct = build_fiber_measure(FiberMeasureSpec(p, x, child_depth + k, target))
-    assert refined.equals(direct)
-    tallies = sum(c.boundary_ambiguous for c in children.values())
-    assert refined.boundary_ambiguous == direct.boundary_ambiguous + tallies
-
-
-def _children(p, x, k, depth, level, **kw):
-    return {
-        w: build_fiber_measure(FiberMeasureSpec(p, word_address(p, x, w), depth, level, **kw))
-        for w in enumerate_words(p.b, k)
-    }
-
-
-def test_refine_rejects_children_it_cannot_place(system_b2):
-    x = 0.3
-    good = _children(system_b2, x, 1, 6, 3)
-    # a loaded child has no provenance
-    loaded = dict(good)
-    loaded[(1,)] = load_measure(dump_measure(good[(1,)]))
-    # a sampled child, a child at another base point, a child of another depth
-    sampled = dict(good)
-    sampled[(0,)] = _children(
-        system_b2, x, 1, 6, 3, mode="sampled", sample_count=64, seed=1
-    )[(0,)]
-    moved = dict(good)
-    moved[(0,)] = build_fiber_measure(FiberMeasureSpec(system_b2, 0.4, 6, 3))
-    deeper = dict(good)
-    deeper[(1,)] = _children(system_b2, x, 1, 7, 3)[(1,)]
-    for children in (loaded, sampled, moved):
-        with pytest.raises(ValueError, match="not an exhaustive fiber build"):
-            refine_fiber_measure(system_b2, x, 1, children, 2)
-    with pytest.raises(ValueError, match="share one depth"):
-        refine_fiber_measure(system_b2, x, 1, deeper, 2)
-    with pytest.raises(ValueError, match="finer than child level"):
-        refine_fiber_measure(system_b2, x, 1, good, 4)
-    assert refine_fiber_measure(system_b2, x, 1, good, 2).total == 2**7
-
-
-def test_refine_enforces_the_word_budget_on_the_whole_depth(system_b2, monkeypatch):
-    good = _children(system_b2, 0.3, 2, 6, 3)
-    monkeypatch.setattr(fiber, "EXHAUSTIVE_WORD_BUDGET", 2**7)
-    with pytest.raises(ValueError, match="word budget exceeded"):
-        refine_fiber_measure(system_b2, 0.3, 2, good, 2)
-
-
 @given(
     b=st.integers(2, 3),
     k=st.integers(1, 2),
@@ -552,8 +455,9 @@ def test_refine_enforces_the_word_budget_on_the_whole_depth(system_b2, monkeypat
 )
 @settings(max_examples=30, deadline=None)
 def test_pushed_forward_child_values_are_the_direct_leaf_ranges(b, k, child_depth, x):
-    # the identity refine_fiber_measure rests on, checked on the values:
-    # gamma^k S(w(x), i) + S(x, w) is the sum of leaf idx(w) b^N + idx(i)
+    # the cocycle S(x, w + i) = S(x, w) + gamma^k S(w(x), i), checked on
+    # the values: the depth-N build at w's branch point, pushed forward,
+    # is the direct depth-(k+N) build's leaf range [idx(w) b^N, (idx(w)+1) b^N)
     p = SystemParams(b, 0.55, 0.3, TrigPoly(0.1, (1.0, 0.4), (0.2,)))
     gk = p.gamma**k
     leaves = b**child_depth

@@ -69,12 +69,6 @@ def test_sup_bound_tight_for_pure_cosine(cos_poly):
     assert cos_poly.sup_grid() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_is_constant():
-    assert TrigPoly(1.0, (), ()).is_constant()
-    assert TrigPoly(1.0, (0.0,), (0.0, 0.0)).is_constant()
-    assert not TrigPoly(0.0, (1.0,), ()).is_constant()
-
-
 def test_gamma_polar_form(system_b2):
     g = system_b2.gamma
     assert abs(g) == pytest.approx(0.5, abs=1e-15)
@@ -88,7 +82,6 @@ def test_gamma_polar_form(system_b2):
 def test_radii_and_tail(system_b2):
     assert system_b2.phi_sup == 1.0
     assert system_b2.attractor_radius == pytest.approx(2.0)
-    assert system_b2.fiber_diameter_bound == pytest.approx(4.0)
     assert system_b2.box_radius() == 2
     # geometric tail: sup|phi| |gamma|^d / (1 - |gamma|)
     assert system_b2.tail_bound(0) == pytest.approx(2.0)

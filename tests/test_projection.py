@@ -210,7 +210,6 @@ def test_sweep_matches_direct_projection():
             assert sweep.matrix[i, j] == pytest.approx(direct, abs=1e-12)
     assert sweep.min_rate == pytest.approx(sweep.matrix.min())
     assert sweep.max_rate == pytest.approx(sweep.matrix.max())
-    assert sweep.beta_hat == sweep.min_rate
     ax, atheta = sweep.argmin()
     ij = np.unravel_index(sweep.matrix.argmin(), sweep.matrix.shape)
     assert (ax, atheta) == (xs[ij[0]], thetas[ij[1]])
@@ -514,5 +513,4 @@ def test_sweep_result_properties_standalone():
     r = SweepResult([0.1, 0.2], [0.3, 0.4, 0.5], 4, np.array([[3.0, 1.0, 2.0], [4.0, 5.0, 6.0]]))
     assert r.min_rate == 1.0
     assert r.max_rate == 6.0
-    assert r.beta_hat == 1.0
     assert r.argmin() == (0.1, 0.4)
