@@ -153,7 +153,8 @@ class ExceptionScanReport:
 
     @property
     def certified_fraction(self) -> float:
-        return 1.0 - self.suspect_area / self.annulus_area
+        # the summed polar cells can round an ulp above the annulus area
+        return min(1.0, max(0.0, 1.0 - self.suspect_area / self.annulus_area))
 
 
 def _polar_cell_area(cells: np.ndarray) -> np.ndarray:

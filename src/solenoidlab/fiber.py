@@ -15,8 +15,9 @@ case where every depth-N word is its own stratum and is taken once, as
 is sampled mode with b^N samples; both then fill the same bits with no
 draws.  Tiles of strata are evaluated with the prefix-tree kernel of the
 words module, which grows S_n = S_{n-1} + gamma^{n-1} phi(a_n) once per
-distinct prefix, repeats each stratum by its quota and continues it by
-the suffix digits.  A stream of about 2^16-row tiles is handed out by
+distinct prefix, with phi read from products of cached tables of roots
+of unity in place of cos and sin calls, repeats each stratum by its
+quota and continues it by the suffix digits.  A stream of about 2^16-row tiles is handed out by
 one counter to the calling thread plus one thread per further worker
 (threads caps the workers; by default there is one per CPU the process
 may run on), and a tile holds the same bits on any worker count.  The

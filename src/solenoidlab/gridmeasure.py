@@ -45,9 +45,10 @@ on the keys: strictly increasing keys are cells sorted without repeats,
 and the codec's bounds put every cell in the origin box in O(1).
 Entropies and cell counts read only weights, so none of them builds
 rows.  The rows, idx, are decoded from the keys on first read and then
-kept; cells(), centers(), dumps, convolution, and conditional and
-component entropies read them.  Rows from outside come in through
-measure_from_points, measure_from_cells and load_measure.
+kept; cells(), dumps, convolution, and conditional and component
+entropies read them.  centers() decodes rows without keeping them, so
+a measure that is only projected holds no rows.  Rows from outside come
+in through measure_from_points, measure_from_cells and load_measure.
 """
 
 from __future__ import annotations
@@ -452,9 +453,14 @@ class GridMeasure:
         }
 
     def centers(self) -> np.ndarray:
-        """Cell centers; shape (m,) for 1D, (m, 2) for 2D."""
+        """Cell centers; shape (m,) for 1D, (m, 2) for 2D.
+
+        Rows not yet decoded are decoded for this call and not kept: a
+        measure read once through its centers holds no idx.
+        """
         scale = 1.0 / self.base**self.level
-        c = (self.idx + 0.5) * scale
+        rows = self.__dict__.get("idx")
+        c = ((self._cells.rows() if rows is None else rows) + 0.5) * scale
         return c[:, 0] if self.dim == 1 else c
 
     def coarsen(self, n: int) -> "GridMeasure":

@@ -88,6 +88,33 @@ class TrigPoly:
             return float(out)
         return out
 
+    def on_circle(self, z: np.ndarray) -> np.ndarray:
+        """Values at the x of the points z = exp(2 pi i x) of a complex128 array.
+
+        cos(2 pi k x) is Re z^k and sin(2 pi k x) is Im z^k, so no cos or
+        sin is called.  The powers are repeated products z^k = z^{k-1} z,
+        each into a new array (numpy's in-place complex product of short
+        arrays rounds differently), and the terms add in the order
+        __call__ adds them.  The float64 result may be a view of z.
+        """
+        powers = [z]
+
+        def part(k: int, imag: bool) -> np.ndarray:
+            while len(powers) < k:
+                powers.append(powers[-1] * z)
+            return powers[k - 1].imag if imag else powers[k - 1].real
+
+        out = None
+        for imag, coeffs in ((False, self.cos_coeffs), (True, self.sin_coeffs)):
+            for k, a in enumerate(coeffs, start=1):
+                if a == 0.0:
+                    continue
+                term = part(k, imag) if a == 1.0 else part(k, imag) * a
+                out = term if out is None else out + term
+        if out is None:
+            return np.full(z.shape, self.a0)
+        return out + self.a0 if self.a0 != 0.0 else out
+
     def derivative(self) -> "TrigPoly":
         """d/dx of the polynomial, again a TrigPoly."""
         deg = self.degree

@@ -17,21 +17,33 @@ identities every consumer leans on:
 
 are exposed as residual checks so tests can pin them to float accuracy.
 
-Scalar sums accumulate Horner-style from the deepest term outward.  Batch
-sums go through one kernel, _branch_sums, which adds the terms in the
-order n = 1, 2, ....  Since a_n and the partial sum S_n = S_{n-1} + gamma^{n-1}
-phi(a_n) depend only on the first n digits, it grows them over the b-ary
-prefix tree, one drive evaluation per distinct prefix, and then row by
-row over per-row suffix digits.  The same level loop gives d/dx S with
-drive phi' and weights gamma^{n-1} / b^n.  Batch and scalar sums agree to
-machine accuracy.  A row's sum has the same bits whatever leaf range it
-is grown in, and sampled suffix digits are counter-mode draws per
-stratum, so the fiber module fills independent tiles of a word list on
-several threads, each into its own array, in any order.
+Scalar sums accumulate Horner-style from the deepest term outward and
+call the drive (libm cos and sin) at each a_n; they are the reference.
+Batch sums go through one kernel, _branch_sums, which adds the terms in
+the order n = 1, 2, ....  Since a_n = (x + j_n) / b^n, with j_n the
+integer the first n digits spell, exp(2 pi i a_n) is exp(2 pi i x / b^n)
+times roots of unity picked by those digits.  The kernel cuts the digits
+into blocks of c digits from the first digit (b^c <= 4096), reads each
+block's root from a cached table per (b, level), and multiplies the
+factors in one canonical order, left to right; the drive reads cos and
+sin of 2 pi k a_n as Re and Im of the k-th power of that phase.  Every
+product is taken out of place: numpy's in-place complex product of short
+arrays rounds without the fused multiply-add of its other loops.  A
+phase and S_n = S_{n-1} + gamma^{n-1} phi(a_n) depend only on the first
+n digits, so the kernel grows them over the b-ary prefix tree, one
+phase per distinct prefix, and then row by row over per-row suffix
+digits.  The same level loop gives d/dx S with drive phi' and weights
+gamma^{n-1} / b^n.  Batch and scalar sums agree to machine accuracy.  A
+row's sum depends only on (b, x, its digits), with the same bits
+whatever leaf range it is grown in, and sampled suffix digits are
+counter-mode draws per stratum, so the fiber module fills independent
+tiles of a word list on several threads, each into its own array, in
+any order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -252,12 +264,15 @@ def _stratified_suffixes(
         with np.errstate(over="ignore"):
             states = mix64_array(np.uint64(stream.state) + ids * np.uint64(GAMMA64))
             # digit k of sample j in its stratum: mix(state + (j*width + k + 1) * GAMMA)
-            j = np.arange(total, dtype=np.uint64)
-            j -= np.repeat(firsts[:-1].astype(np.uint64), quotas)
-            j *= np.uint64(width * GAMMA64 % 2**64)
-            z = np.repeat(states, quotas)
-            z += j
-            draw, quot = j, np.empty_like(j)  # scratch columns, reused for every digit
+            if total == len(quotas):  # quotas are at least 1, so all are 1 and j = 0
+                z = states
+            else:
+                j = np.arange(total, dtype=np.uint64)
+                j -= np.repeat(firsts[:-1].astype(np.uint64), quotas)
+                j *= np.uint64(width * GAMMA64 % 2**64)
+                z = np.repeat(states, quotas)
+                z += j
+            draw, quot = np.empty_like(z), np.empty_like(z)  # scratch, reused for every digit
             for k in range(width):
                 z += np.uint64(GAMMA64)
                 mix64_array(z, out=draw)
@@ -291,6 +306,77 @@ def sampled_symbol_block(
 
 # === the branch-sum kernel ===
 
+# a block of digits indexes one phase table of at most this many entries
+# (b entries when b is larger): 64 KiB of complex128, resident in cache
+_TABLE_ENTRIES = 4096
+# suffix levels run over rows in chunks of this many, so that the
+# temporaries of a chunk stay in a core's cache
+_CHUNK_ROWS = 1 << 14
+# rows of at least this many phases repay a Python call per row
+_LONG_ROW = 1024
+
+
+def _block_len(b: int) -> int:
+    """Digits per block: the largest c with b^c <= _TABLE_ENTRIES, at least 1."""
+    c = 1
+    while b ** (c + 1) <= _TABLE_ENTRIES:
+        c += 1
+    return c
+
+
+def _power(b: int, m: int) -> float:
+    """b^m as a float; inf past the float range, where x / b^m is 0."""
+    p = b**m
+    return float(p) if p.bit_length() <= 1023 else math.inf
+
+
+def _unit(turns: np.ndarray) -> np.ndarray:
+    """exp(2 pi i turns) as complex128, from libm cos and sin."""
+    angle = 2.0 * np.pi * turns
+    out = np.empty(angle.shape, dtype=np.complex128)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _phase_table(b: int, m: int) -> np.ndarray:
+    """R_m[i] = exp(2 pi i B / b^m) over the blocks of L = min(c, m) digits.
+
+    c is _block_len(b).  A block (v_1, ..., v_L) sits at its lex index
+    i = v_1 b^{L-1} + ... + v_L, the index the prefix tree grows by
+    i <- i b + digit, and B = v_1 + v_2 b + ... + v_L b^{L-1} is its value.
+    When m = L, B / b^m is taken in [-1/2, 1/2) so the angle stays small.
+    The table is read-only and shared by every call and thread.
+    """
+    width = min(_block_len(b), m)
+    value = np.zeros(1, dtype=np.int64)
+    for k in range(width):  # i <- i b + v_{k+1} adds v_{k+1} b^k to B
+        value = (value[:, None] + np.arange(b) * b**k).reshape(-1)
+    if m == width:
+        value[2 * value >= b**m] -= b**m
+    table = _unit(value / _power(b, m))
+    table.setflags(write=False)
+    return table
+
+
+def _lex_blocks(prefixes: np.ndarray, b: int, c: int, k: int) -> list:
+    """Lex indices of the k blocks of c digits of each k c-digit prefix, first block first."""
+    return [prefixes // b ** ((k - 1 - j) * c) % b**c for j in range(k)]
+
+
+def _phase_product(z: np.ndarray, b: int, m: int, blocks: Sequence) -> np.ndarray:
+    """z R_m[blocks[0]] R_{m-c}[blocks[1]] ..., multiplied left to right.
+
+    Each product goes into a new array: numpy's in-place complex product
+    of short arrays skips the fused multiply-add of its other loops, and a
+    point must get the same bits in any array it is formed in.
+    """
+    c = _block_len(b)
+    for j, lex in enumerate(blocks):
+        z = z * _phase_table(b, m - j * c).take(lex)
+    return z
+
 
 def _branch_sums(
     params: SystemParams,
@@ -307,55 +393,123 @@ def _branch_sums(
 
     The rows are the depth-prefix_len words of lexicographic index lo..hi-1,
     each repeated counts[i] times (once when counts is None) and continued
-    by its row of the suffix digit matrix.  Prefix levels grow the b-ary
-    tree: a_n = (a_{n-1} + w_n) / b and S_n = S_{n-1} + g_n drive(a_n) are
-    formed once per distinct prefix.  Suffix levels run row by row.  A row
-    gets the same float operations in the same order as when all its digits
-    are suffix digits, so both forms agree bit for bit.  x is a scalar, or
-    one base point per row when prefix_len is 0 and counts is None.  out,
-    a complex128 array of one entry per row, receives the sums if given.
+    by its row of the suffix digit matrix.  x is a scalar, or one base
+    point per row when prefix_len is 0 and counts is None.  out, a
+    complex128 array of one entry per row, receives the sums if given.
+
+    Level n adds g_n drive(a_n), g_n = gamma^{n-1} (and drive phi' with
+    g_n = gamma^{n-1} / b^n for the derivative), and the drive reads the
+    phase z_n = exp(2 pi i a_n) (TrigPoly.on_circle).  Cut the first n
+    digits into blocks of c = _block_len(b) digits from the first digit;
+    block j adds B_j / b^{n - j c} to a_n, so
+
+        z_n = theta_n R_n[block 0] R_{n-c}[block 1] ...,  theta_n = exp(2 pi i x / b^n),
+
+    multiplied left to right, each product out of place (_phase_product),
+    from the cached tables of _phase_table.  Prefix levels grow the b-ary
+    tree: the phases of a level are the outer product of one head per
+    distinct first k c digits (theta_n times the full blocks) and the
+    table of the last block, and S_n = S_{n-1} + g_n drive(z_n) is formed
+    once per distinct prefix.  Suffix levels run row by row, in chunks of
+    _CHUNK_ROWS rows: the blocks inside the prefix make a head per
+    stratum, and the lex index of each block that holds suffix digits
+    grows per row by i <- i b + digit.  Every point gets the same products
+    and additions in the same order, whatever its form, so the tree and
+    flat forms agree bit for bit.
     """
     b = params.b
     if derivative:  # drive phi', level-n weight gamma^{n-1} / b^n
         drive, ratio, g = params.phi.derivative(), params.gamma / b, 1.0 / b + 0.0j
     else:
         drive, ratio, g = params.phi, params.gamma, 1.0 + 0.0j
-    inv_b = 1.0 / b
-    # rows: branch point a, Re S, Im S; one column per prefix or row
-    st = np.zeros((3, np.size(x)), dtype=np.float64)
-    st[0] += np.asarray(x, dtype=np.float64)
-    digits = np.arange(b, dtype=np.float64)
-    first = 0  # index of the first prefix held at the current tree level
+    c = _block_len(b)
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    # rows: Re S, Im S; one column per prefix or row
+    st = np.zeros((2, x.size), dtype=np.float64)
     width = 0 if suffix is None else suffix.shape[1]
-    for n in range(prefix_len + 1 + width):
-        if n < prefix_len:
-            unit = b ** (prefix_len - 1 - n)
-            start = lo // unit
-            st = np.repeat(st, b, axis=1)
-            children = st[0].reshape(-1, b)
-            children += digits
-            children *= inv_b
-            st = st[:, start - first * b : (hi - 1) // unit + 1 - first * b]
-            first = start
-        elif n == prefix_len:
-            # the leaves, each repeated by its count, become the rows (a
-            # repeat by all ones would only copy them)
-            if counts is not None and np.any(np.not_equal(counts, 1)):
-                st = np.repeat(st, counts, axis=1)
-            continue
-        else:
-            st[0] += suffix[:, n - prefix_len - 1]
-            st[0] *= inv_b
-        v = drive(st[0])
-        if g.imag != 0.0:
-            st[2] += v * g.imag
-        v *= g.real
-        st[1] += v
+
+    # k -> lex blocks of the distinct first k c digits of the leaves lo..hi-1;
+    # every call below asks for prefixes of those leaves, so the set is the
+    # same whichever call makes it
+    heads = {}
+
+    def tree_phases(n, d, start, stop):
+        """z_n of the d-digit prefixes start..stop-1 of the tree, d <= prefix_len.
+
+        Heads hold the full blocks before the last of the d digits; the
+        last block is read from the level-n table of its position.
+        """
+        k, last = divmod(d - 1, c)
+        span = b ** (last + 1)  # the last block holds last + 1 digits
+        h0 = start // span
+        if k not in heads:
+            heads[k] = _lex_blocks(np.arange(h0, (stop - 1) // span + 1), b, c, k)
+        head = _phase_product(_unit(x / _power(b, n)), b, n, heads[k])
+        tail = _phase_table(b, n - k * c)
+        nodes = slice(start - h0 * span, stop - h0 * span)
+        if len(head) == 1:
+            return head * tail[nodes]
+        if span < _LONG_ROW:
+            return (head[:, None] * tail).reshape(-1)[nodes]
+        # on long rows one contiguous product per head is about twice as
+        # fast as numpy's broadcast product, which runs a strided loop
+        z = np.empty((len(head), span), dtype=np.complex128)
+        for h, row in zip(head, z):
+            np.multiply(h, tail, out=row)
+        return z.reshape(-1)[nodes]
+
+    first = 0  # index of the first prefix held at the current tree level
+    for n in range(1, prefix_len + 1):
+        # every child of the held prefixes, then the ones in range: S_n of
+        # a child is S_{n-1} of its parent plus its own term
+        unit = b ** (prefix_len - n)
+        v = drive.on_circle(tree_phases(n, n, first * b, (first + st.shape[1]) * b))
+        children = np.multiply.outer((g.real, g.imag), v).reshape(2, -1, b)
+        children += st[:, :, None]
         g *= ratio
+        start, stop = lo // unit, (hi - 1) // unit + 1
+        st = children.reshape(2, -1)[:, start - first * b : stop - first * b]
+        first = start
+    # the leaves, each repeated by its count, become the rows (a repeat by
+    # all ones would only copy them)
+    spread = counts is not None and bool(np.any(np.not_equal(counts, 1)))
+    if spread:
+        st = np.repeat(st, counts, axis=1)
+    if width:
+        # blocks 0..kp-1 lie in the prefix and make a head per stratum; the
+        # r prefix digits left start block kp, which grows per row
+        kp, r = divmod(prefix_len, c)
+        leaves = np.arange(lo, hi, dtype=np.int64)
+        per_row = (lambda a: np.repeat(a, counts)) if spread else (lambda a: a)
+        node0 = lo // b**r  # the first stratum head
+        head_rows = per_row(leaves // b**r - node0) if kp and (r or spread) else None
+        # lex index of each block that holds suffix digits, per row
+        blocks = [per_row(leaves % b**r)] if r else []
+        for col in range(width):
+            n = prefix_len + 1 + col
+            digit = suffix[:, col]
+            if (n - 1) // c - kp == len(blocks):  # digit n starts a block
+                blocks.append(digit.astype(np.int64))
+            else:
+                blocks[-1] *= b
+                blocks[-1] += digit
+            if kp:
+                head = tree_phases(n, kp * c, node0, (hi - 1) // b**r + 1)
+            else:
+                head = _unit(x / _power(b, n))
+            for r0 in range(0, st.shape[1], _CHUNK_ROWS):
+                part = slice(r0, r0 + _CHUNK_ROWS)
+                if head_rows is not None:
+                    z = head[head_rows[part]]
+                else:  # one head for all rows, or one per row
+                    z = head if len(head) == 1 else head[part]
+                z = _phase_product(z, b, n - kp * c, [lex[part] for lex in blocks])
+                st[:, part] += np.multiply.outer((g.real, g.imag), drive.on_circle(z))
+            g *= ratio
     if out is None:
         out = np.empty(st.shape[1], dtype=np.complex128)
-    out.real = st[1]
-    out.imag = st[2]
+    out.real = st[0]
+    out.imag = st[1]
     return out
 
 

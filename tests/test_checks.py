@@ -172,6 +172,8 @@ def test_exception_scan_base_4_past_int64_powers():
     cos = TrigPoly(0.0, (1.0,), ())
     report = gamma_exception_scan(4, cos, 0, None, 0.2, 0.9, 1e-3)
     assert report.terms > 32
+    # its suspect cells sum to an ulp above the annulus area
+    assert 0.0 <= report.certified_fraction <= 1.0
 
 
 def test_exception_scan_validation():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solenoidlab import fiber
@@ -201,6 +201,8 @@ def test_value_chunks_concatenate_to_full_set(
     tile_rows=st.integers(1, 9),
     cpus=st.integers(1, 3),
 )
+# 3^4 samples at depth 6: one sample per stratum, two suffix digits
+@example(b=3, depth=6, count=81, sampled=True, tile_rows=5, cpus=2)
 @settings(max_examples=60, deadline=None)
 def test_tiles_match_one_range(b, depth, count, sampled, tile_rows, cpus):
     # tiny tiles, and sampled strata that hold uneven quotas when
@@ -231,6 +233,7 @@ def test_tiles_match_one_range(b, depth, count, sampled, tile_rows, cpus):
     tile_rows=st.integers(1, 9),
     cpus=st.integers(1, 3),
 )
+@example(b=3, depth=6, count=81, sampled=True, tile_rows=5, cpus=2)
 @settings(max_examples=60, deadline=None)
 def test_tile_map_matches_unmapped_values(b, depth, count, sampled, tile_rows, cpus):
     # the build that bins and reduces each tile on its own thread equals

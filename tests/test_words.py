@@ -1,6 +1,7 @@
 """Words, branch addresses, symbolic sums, and the scale conversions."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,11 @@ from hypothesis import strategies as st
 from solenoidlab.params import SystemParams, TrigPoly
 from solenoidlab.rng import SplitMix64
 from solenoidlab.words import (
+    _block_len,
     _branch_sums,
+    _phase_product,
+    _power,
+    _unit,
     branch_addresses,
     branch_interval,
     check_word,
@@ -259,6 +264,28 @@ def test_batch_sums_match_scalar_for_wide_bases(b, depth, start, x):
         assert tuple(int(s) for s in row) == word_from_index(i, b, depth)
 
 
+def assert_tree_matches_flat(p, x, prefix_len, lo, counts, suffix):
+    # the tree form adds the same terms in the same order as the flat form,
+    # for the sums and their derivatives, and both match the scalar sums
+    counts = np.asarray(counts)
+    hi = lo + len(counts)
+    heads = np.repeat(symbol_block(p.b, prefix_len, lo, hi), counts, axis=0)
+    full = np.hstack([heads.astype(np.int64), suffix])
+    tree = _branch_sums(p, x, prefix_len, lo, hi, counts, suffix)
+    flat = symbolic_sum_batch(p, x, full)
+    assert np.array_equal(tree.view(np.uint64), flat.view(np.uint64))
+    deriv = _branch_sums(p, x, prefix_len, lo, hi, counts, suffix, derivative=True)
+    flat = _branch_sums(p, x, counts=[len(full)], suffix=full, derivative=True)
+    assert np.array_equal(deriv.view(np.uint64), flat.view(np.uint64))
+    for row, v, d in zip(full, tree, deriv):
+        word = tuple(int(s) for s in row)
+        if word:
+            assert abs(v - symbolic_sum(p, x, word)) < 1e-12
+            assert abs(d - symbolic_sum_derivative(p, x, word)) < 1e-12
+        else:
+            assert v == 0 and d == 0
+
+
 @given(
     b=st.integers(2, 300),
     prefix_len=st.integers(0, 4),
@@ -269,13 +296,12 @@ def test_batch_sums_match_scalar_for_wide_bases(b, depth, start, x):
 @example(b=200, prefix_len=2, suffix_len=2, data=None, x=0.3)
 @settings(max_examples=80, deadline=None)
 def test_prefix_tree_kernel_matches_flat_and_scalar(b, prefix_len, suffix_len, data, x):
-    # the tree form adds the same terms in the same order as the flat form
     p = SystemParams(b, 0.6, 0.137, TrigPoly(0.3, (1.0, 0.5), (0.25,)))
     while b**prefix_len > 10**6:
         prefix_len -= 1
     leaves = b**prefix_len
     if data is None:  # the explicit example: a range straddling two subtrees
-        lo, hi = b - 3, b + 4
+        lo = b - 3
         counts = np.array([2, 0, 1, 3, 1, 0, 2])
     else:
         lo = data.draw(st.integers(0, leaves - 1))
@@ -284,20 +310,49 @@ def test_prefix_tree_kernel_matches_flat_and_scalar(b, prefix_len, suffix_len, d
         counts = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
     rows = int(counts.sum())
     suffix = SplitMix64(b + lo, "suffix").integers(0, rows * suffix_len, b)
-    suffix = suffix.reshape(rows, suffix_len)
-    tree = _branch_sums(p, x, prefix_len, lo, hi, counts, suffix)
-    heads = np.repeat(symbol_block(b, prefix_len, lo, hi), counts, axis=0)
-    full = np.hstack([heads.astype(np.int64), suffix])
-    flat = symbolic_sum_batch(p, x, full)
-    assert np.array_equal(tree.view(np.uint64), flat.view(np.uint64))
-    deriv = _branch_sums(p, x, prefix_len, lo, hi, counts, suffix, derivative=True)
-    for row, v, d in zip(full, tree, deriv):
-        word = tuple(int(s) for s in row)
-        if word:
-            assert abs(v - symbolic_sum(p, x, word)) < 1e-12
-            assert abs(d - symbolic_sum_derivative(p, x, word)) < 1e-12
-        else:
-            assert v == 0 and d == 0
+    assert_tree_matches_flat(p, x, prefix_len, lo, counts, suffix.reshape(rows, suffix_len))
+
+
+@pytest.mark.parametrize(
+    "b,prefix_len,suffix_len,lo,counts",
+    [
+        # blocks of 12, 12 and 2 digits, all in the prefix, then split 14 + 12
+        (2, 26, 0, 2**25 - 40, [1] * 80),
+        (2, 14, 12, 4000, [1, 3, 0, 2, 1, 0, 0, 4]),
+        # blocks of 7: block 1 holds prefix digits 8-9 and suffix digits 10-14
+        (3, 9, 7, 3**8 - 3, [2, 0, 1, 3, 1, 0]),
+        # one row: a one-stratum tile, and a word with no prefix
+        (3, 9, 7, 3**9 - 1, [1]),
+        (3, 0, 16, 0, [1]),
+    ],
+)
+def test_kernel_block_structure_matches_flat_and_scalar(b, prefix_len, suffix_len, lo, counts):
+    # the hypothesis ranges above never reach a second full block at b = 2 or 3
+    p = SystemParams(b, 0.8, 0.137, TrigPoly(0.3, (1.0, 0.5), (0.25,)))
+    rows = sum(counts)
+    suffix = SplitMix64(lo, "blocks").integers(0, rows * suffix_len, b)
+    assert_tree_matches_flat(p, 0.61, prefix_len, lo, counts, suffix.reshape(rows, suffix_len))
+
+
+@pytest.mark.parametrize("b", [2, 3, 5, 10, 128, 200])
+def test_table_phases_match_exp(b):
+    # z_n = theta_n R_n[block 0] R_{n-c}[block 1] ... over blocks of c digits
+    # from the first digit, in the lex index of each block
+    c = _block_len(b)
+    rng = random.Random(b)
+    for _ in range(200):
+        n = rng.randint(1, 60 // int(math.log2(b)))
+        x, j = rng.random(), rng.randrange(b**n)
+        digits = [j // b**k % b for k in range(n)]  # w_1 is the least significant
+        blocks = []
+        for start in range(0, n, c):
+            lex = 0
+            for w in digits[start : start + c]:
+                lex = lex * b + w
+            blocks.append(np.array([lex]))
+        theta = _unit(np.array([x]) / _power(b, n))
+        z = _phase_product(theta, b, n, blocks)[0]
+        assert abs(z - np.exp(2j * np.pi * ((x + j) / b**n))) < 4e-15
 
 
 def test_sampled_symbol_block_split_invariance():
@@ -313,23 +368,25 @@ def test_sampled_symbol_block_split_invariance():
 @pytest.mark.parametrize("b", [2, 3, 10, 128, 129, 200])
 def test_sampled_symbol_block_matches_a_modulo_reference(b):
     # suffix digit k of sample j in stratum i is output j * width + k of
-    # the stream seeded by output i, taken mod b (int8 up to b = 128)
-    depth, count, start, stop = 7, 70, 1, 5
+    # the stream seeded by output i, taken mod b (int8 up to b = 128);
+    # b^2 samples put one sample in each stratum
+    depth, start, stop = 7, 1, 5
     stream = SplitMix64(17, "digits")
-    s, strata, _ = stratum_layout(b, depth, count)
-    stop = min(stop, strata)
-    start = min(start, stop - 1)
-    width = depth - s
-    want = []
-    for i in range(start, stop):
-        sub = SplitMix64(0)
-        sub.state = stream.word(i)
-        quota = count // strata + (i < count % strata)
-        prefix = [(i // b**p) % b for p in range(s - 1, -1, -1)]
-        want += [prefix + [sub.word(j * width + k) % b for k in range(width)] for j in range(quota)]
-    got = sampled_symbol_block(b, depth, count, stream, start, stop)
-    assert got.dtype == (np.int8 if b <= 128 else np.int64)
-    assert got.tolist() == want
+    for count in (70, b * b):
+        s, strata, _ = stratum_layout(b, depth, count)
+        last = min(stop, strata)
+        first = min(start, last - 1)
+        width = depth - s
+        want = []
+        for i in range(first, last):
+            sub = SplitMix64(0)
+            sub.state = stream.word(i)
+            quota = count // strata + (i < count % strata)
+            prefix = [(i // b**p) % b for p in range(s - 1, -1, -1)]
+            want += [prefix + [sub.word(j * width + k) % b for k in range(width)] for j in range(quota)]
+        got = sampled_symbol_block(b, depth, count, stream, first, last)
+        assert got.dtype == (np.int8 if b <= 128 else np.int64)
+        assert got.tolist() == want
 
 
 def brute_scale_hat(params, n):
