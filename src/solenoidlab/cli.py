@@ -4,9 +4,15 @@ Flags beat config values, which beat defaults.  The thread count (flag,
 config or SOLENOID_THREADS) caps the workers that fill and bin fiber
 tiles; unset or 0, every CPU of the process works.  Outputs are the
 same bits on any thread count.
-Every output file starts with a comment header carrying the config hash
-and seed, and all randomness is derived from that single seed through
-named sub-streams, so rerunning any experiment cannot perturb another.
+All randomness is derived from the single seed through named
+sub-streams, so rerunning any experiment cannot perturb another.
+
+A runner computes and writes nothing: it returns its headline, whether
+its own contract held, and its files as a map from name suffix to body
+(".csv" names `{experiment}-{seed}.csv`, "-q.csv" names
+`{experiment}-q-{seed}.csv`).  Only `main` names and writes files, and
+it starts each one with the one comment header carrying the config hash
+and seed.  A runner that raises writes no file at all.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -31,8 +37,10 @@ from .dimension import (
     generate_attractor,
     predicted_fiber_dimension,
 )
-from .entropy import _porosity_sweep, _slope_window, conditional_entropy, entropy, entropy_profile
-from .fiber import FiberMeasureSpec, build_fiber_measure, depth_for_resolution
+from .entropy import _slope_window, conditional_entropy, entropy, entropy_profile, porosity_check
+from .fiber import (
+    EXHAUSTIVE_WORD_BUDGET, FiberMeasureSpec, build_fiber_measure, depth_for_resolution,
+)
 from .gridmeasure import dump_measure
 from .params import SystemParams
 from .projection import (
@@ -58,20 +66,27 @@ def _header(cfg: RunConfig, experiment: str, seed: int) -> str:
     return f"# solenoidlab {experiment} config_sha256={config_sha256(cfg)} seed={seed}\n"
 
 
+def _csv(columns: str, rows: Iterable[tuple]) -> str:
+    """CSV body: the column line, then one line per row; floats print as their repr."""
+    def cell(v) -> str:
+        return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+
+    return columns + "\n" + "".join(",".join(map(cell, row)) + "\n" for row in rows)
+
+
 def _fiber_spec(
-    cfg: RunConfig, seed: int, x: Optional[float] = None, n: Optional[int] = None,
-    params: Optional[SystemParams] = None,
+    cfg: RunConfig, seed: int, n: Optional[int] = None, params: Optional[SystemParams] = None
 ) -> FiberMeasureSpec:
     p = params if params is not None else cfg.params
     o = cfg.options
-    x = o["x"] if x is None else x
     n = o["n"] if n is None else n
     depth = o["depth"] or depth_for_resolution(p, n)
     mode = o["mode"]
     if mode == "auto":
-        mode = "exhaustive" if p.b**depth <= cfg.max_words else "sampled"
+        budget = min(cfg.max_words, EXHAUSTIVE_WORD_BUDGET)
+        mode = "exhaustive" if p.b**depth <= budget else "sampled"
     return FiberMeasureSpec(
-        p, x, depth, n, mode=mode, sample_count=o["sample_count"], seed=seed
+        p, o["x"], depth, n, mode=mode, sample_count=o["sample_count"], seed=seed
     )
 
 
@@ -80,31 +95,25 @@ def _profile_alpha(profile) -> float:
     return profile.slope(_slope_window(profile.levels))
 
 
-def _run_attractor(cfg: RunConfig, out: Path, threads: Optional[int], seed: int):
+def _run_attractor(cfg: RunConfig, threads: Optional[int], seed: int):
     o = cfg.options
     sub = stream_seed(seed, "attractor")
     pts = generate_attractor(
         cfg.params, o["cloud_count"], seed=sub, mode=o["cloud_mode"]
     )
-    head = _header(cfg, "attractor", seed)
-    lines = [head, "x,re_y,im_y\n"]
-    lines.extend(
-        f"{float(p[0])!r},{float(p[1])!r},{float(p[2])!r}\n" for p in pts
-    )
-    (out / f"attractor-{seed}.csv").write_text("".join(lines))
-
     R = cfg.params.box_radius()
     px = o["density_pixels"]
     counts, _, _ = np.histogram2d(
         pts[:, 1], pts[:, 2], bins=px, range=[[-R, R], [-R, R]]
     )
-    rows = [head, f"DENSITY v1 {px} {px}\n"]
-    rows.extend(" ".join(str(int(c)) for c in row) + "\n" for row in counts)
-    (out / f"attractor-{seed}.density").write_text("".join(rows))
-    return f"points={len(pts)} box_radius={R}", True
+    density = f"DENSITY v1 {px} {px}\n" + "".join(
+        " ".join(str(int(c)) for c in row) + "\n" for row in counts
+    )
+    files = {".csv": _csv("x,re_y,im_y", pts), ".density": density}
+    return f"points={len(pts)} box_radius={R}", True, files
 
 
-def _run_dim_table(cfg: RunConfig, out: Path, threads: Optional[int], seed: int):
+def _run_dim_table(cfg: RunConfig, threads: Optional[int], seed: int):
     o = cfg.options
     p0 = cfg.params
     rows = []
@@ -126,34 +135,23 @@ def _run_dim_table(cfg: RunConfig, out: Path, threads: Optional[int], seed: int)
         )
         predicted, exact = predicted_fiber_dimension(params)
         method = f"entropy-slope-{spec.mode}" + ("" if exact else "-upper-bound")
-        rows.append((float(g), params.delta, predicted, est.estimate, method))
+        rows.append((float(g), float(params.delta), predicted, est.estimate, method))
         gap = est.estimate - predicted if exact else max(0.0, est.estimate - predicted)
         worst = max(worst, abs(gap))
-    lines = [_header(cfg, "dim-table", seed), "gamma_abs,delta,predicted,estimated,method\n"]
-    lines.extend(
-        f"{float(g)!r},{float(d)!r},{float(p)!r},{float(e)!r},{m}\n"
-        for (g, d, p, e, m) in rows
-    )
-    (out / f"dim-table-{seed}.csv").write_text("".join(lines))
-    return f"rows={len(rows)} max_gap={worst:.4f}", True
+    files = {".csv": _csv("gamma_abs,delta,predicted,estimated,method", rows)}
+    return f"rows={len(rows)} max_gap={worst:.4f}", True, files
 
 
-def _run_fiber_entropy(cfg: RunConfig, out: Path, threads: Optional[int], seed: int):
-    o = cfg.options
+def _run_fiber_entropy(cfg: RunConfig, threads: Optional[int], seed: int):
     spec = _fiber_spec(cfg, stream_seed(seed, "fiber-entropy"))
     mu = build_fiber_measure(spec, threads=threads)
-    profile = entropy_profile(mu, range(1, o["n"] + 1))
-    lines = [_header(cfg, "fiber-entropy", seed), "level,entropy,normalized\n"]
-    for lv, h, nh in zip(profile.levels, profile.entropies, profile.normalized):
-        lines.append(f"{lv},{float(h)!r},{float(nh)!r}\n")
-    (out / f"fiber-entropy-{seed}.csv").write_text("".join(lines))
-    (out / f"fiber-entropy-{seed}.measure").write_text(
-        _header(cfg, "fiber-entropy", seed) + dump_measure(mu)
-    )
-    return f"alpha_hat={_profile_alpha(profile):.6f} cells={mu.ncells}", True
+    profile = entropy_profile(mu, range(1, cfg.options["n"] + 1))
+    rows = zip(profile.levels, profile.entropies, profile.normalized)
+    files = {".csv": _csv("level,entropy,normalized", rows), ".measure": dump_measure(mu)}
+    return f"alpha_hat={_profile_alpha(profile):.6f} cells={mu.ncells}", True, files
 
 
-def _run_porosity(cfg: RunConfig, out: Path, threads: Optional[int], seed: int):
+def _run_porosity(cfg: RunConfig, threads: Optional[int], seed: int):
     o = cfg.options
     deepest = o["i_max"] - 1 + o["porosity_m"]
     if deepest > o["n"]:
@@ -166,21 +164,21 @@ def _run_porosity(cfg: RunConfig, out: Path, threads: Optional[int], seed: int):
     h = o["porosity_h"]
     if h < 0:
         h = _profile_alpha(entropy_profile(mu, range(1, o["n"] + 1)))
-    sweep, report = _porosity_sweep(
+    report = porosity_check(
         mu, h, o["porosity_delta"], o["porosity_m"], o["i_min"], o["i_max"]
     )
-    lines = [_header(cfg, "porosity", seed), "i,cell,component_entropy,mass\n"]
-    for lv, cell, val, mass in sweep.rows:
-        tag = ":".join(str(int(c)) for c in cell)
-        lines.append(f"{lv},{tag},{float(val)!r},{float(mass)!r}\n")
-    (out / f"porosity-{seed}.csv").write_text("".join(lines))
+    rows = (
+        (lv, ":".join(str(int(c)) for c in cell), val, mass)
+        for lv, cell, val, mass in report.sweep.rows
+    )
+    files = {".csv": _csv("i,cell,component_entropy,mass", rows)}
     return (
         f"verdict={str(report.verdict).lower()} fraction={report.fraction_below:.4f} "
         f"threshold={report.threshold:.4f}"
-    ), True
+    ), True, files
 
 
-def _run_projection_sweep(cfg: RunConfig, out: Path, threads: Optional[int], seed: int):
+def _run_projection_sweep(cfg: RunConfig, threads: Optional[int], seed: int):
     o = cfg.options
     xg = [(i + 0.5) / o["nx"] for i in range(o["nx"])]
     tg = [j / o["ntheta"] for j in range(o["ntheta"])]
@@ -196,18 +194,17 @@ def _run_projection_sweep(cfg: RunConfig, out: Path, threads: Optional[int], see
         seed=spec.seed,
         threads=threads,
     )
-    lines = [_header(cfg, "projection-sweep", seed), "x,theta,level,normalized_entropy\n"]
-    for i, x in enumerate(sweep.x_grid):
-        for j, t in enumerate(sweep.theta_grid):
-            lines.append(
-                f"{float(x)!r},{float(t)!r},{sweep.level},{float(sweep.matrix[i, j])!r}\n"
-            )
-    (out / f"projection-sweep-{seed}.csv").write_text("".join(lines))
+    rows = (
+        (x, t, sweep.level, sweep.matrix[i, j])
+        for i, x in enumerate(sweep.x_grid)
+        for j, t in enumerate(sweep.theta_grid)
+    )
+    files = {".csv": _csv("x,theta,level,normalized_entropy", rows)}
     spread = sweep.max_rate - sweep.min_rate
-    return f"min={sweep.min_rate:.4f} spread={spread:.4f}", True
+    return f"min={sweep.min_rate:.4f} spread={spread:.4f}", True, files
 
 
-def _run_conservation(cfg: RunConfig, out: Path, threads: Optional[int], seed: int):
+def _run_conservation(cfg: RunConfig, threads: Optional[int], seed: int):
     o = cfg.options
     sub = SplitMix64(stream_seed(seed, "conservation"), "pairs")
     npairs = o["pairs"]
@@ -233,24 +230,21 @@ def _run_conservation(cfg: RunConfig, out: Path, threads: Optional[int], seed: i
         rows.append(ests[o["q"]])
         for q in qs:
             qmeans[q] += ests[q].upsilon / npairs
-    lines = [_header(cfg, "conservation", seed), "x,theta,alpha,beta,upsilon,residual\n"]
-    for est in rows:
-        lines.append(
-            f"{float(est.x)!r},{float(est.theta)!r},{float(est.alpha)!r},"
-            f"{float(est.beta)!r},{float(est.upsilon)!r},{float(est.residual)!r}\n"
-        )
-    (out / f"conservation-{seed}.csv").write_text("".join(lines))
-    qlines = [_header(cfg, "conservation", seed), "q,upsilon_mean\n"]
-    qlines.extend(f"{q},{float(qmeans[q])!r}\n" for q in qs)
-    (out / f"conservation-q-{seed}.csv").write_text("".join(qlines))
+    files = {
+        ".csv": _csv(
+            "x,theta,alpha,beta,upsilon,residual",
+            ((e.x, e.theta, e.alpha, e.beta, e.upsilon, e.residual) for e in rows),
+        ),
+        "-q.csv": _csv("q,upsilon_mean", ((q, qmeans[q]) for q in qs)),
+    }
     mean_res = sum(e.residual for e in rows) / len(rows)
     fired = any(not e.corollary_consistent for e in rows)
     return (
         f"mean_residual={mean_res:.4f} corollary_fired={str(fired).lower()}"
-    ), not fired
+    ), not fired, files
 
 
-def _run_condition_h(cfg: RunConfig, out: Path, threads: Optional[int], seed: int):
+def _run_condition_h(cfg: RunConfig, threads: Optional[int], seed: int):
     o = cfg.options
     xg = [(i + 0.5) / 33 for i in range(33)]
     report = condition_h_probe(
@@ -260,22 +254,20 @@ def _run_condition_h(cfg: RunConfig, out: Path, threads: Optional[int], seed: in
         xg,
         seed=stream_seed(seed, "condition-h"),
     )
-    lines = [
-        _header(cfg, "condition-h", seed),
-        f"verdict: {report.verdict}\n",
-        f"depth: {report.depth}\n",
-        f"exhaustive: {report.exhaustive}\n",
-        f"pairs_checked: {report.pairs_checked}\n",
-        f"min_sup: {report.min_sup!r}\n",
-        f"noise_floor: {report.noise_floor!r}\n",
-        f"worst_pair: {' '.join(word_to_str(w) for w in report.worst_pair)}\n",
-        f"fail_candidates: {len(report.fail_candidates)}\n",
-    ]
-    (out / f"condition-h-{seed}.txt").write_text("".join(lines))
-    return f"verdict={report.verdict!r} min_sup={report.min_sup:.6g}", True
+    body = (
+        f"verdict: {report.verdict}\n"
+        f"depth: {report.depth}\n"
+        f"exhaustive: {report.exhaustive}\n"
+        f"pairs_checked: {report.pairs_checked}\n"
+        f"min_sup: {report.min_sup!r}\n"
+        f"noise_floor: {report.noise_floor!r}\n"
+        f"worst_pair: {' '.join(word_to_str(w) for w in report.worst_pair)}\n"
+        f"fail_candidates: {len(report.fail_candidates)}\n"
+    )
+    return f"verdict={report.verdict!r} min_sup={report.min_sup:.6g}", True, {".txt": body}
 
 
-def _run_separation(cfg: RunConfig, out: Path, threads: Optional[int], seed: int):
+def _run_separation(cfg: RunConfig, threads: Optional[int], seed: int):
     o = cfg.options
     suffix = word_from_str(o["suffix"]) if o["suffix"] else ()
     eps0 = cfg.params.gamma_abs ** (o["eps_exponent"] / 2.0)
@@ -288,13 +280,11 @@ def _run_separation(cfg: RunConfig, out: Path, threads: Optional[int], seed: int
         max_points=cfg.max_points,
         seed=stream_seed(seed, "separation"),
     )
-    (out / f"separation-{seed}.sepcert").write_text(
-        _header(cfg, "separation", seed) + cert.serialize()
-    )
-    return f"passing={len(cert.passing_levels)}/{len(cert.rows)} eps0={eps0:.6g}", True
+    headline = f"passing={len(cert.passing_levels)}/{len(cert.rows)} eps0={eps0:.6g}"
+    return headline, True, {".sepcert": cert.serialize()}
 
 
-def _run_transversality(cfg: RunConfig, out: Path, threads: Optional[int], seed: int):
+def _run_transversality(cfg: RunConfig, threads: Optional[int], seed: int):
     o = cfg.options
     witness = transversality_search(
         cfg.params,
@@ -303,30 +293,24 @@ def _run_transversality(cfg: RunConfig, out: Path, threads: Optional[int], seed:
         o["z_grid"],
         seed=stream_seed(seed, "transversality"),
     )
-    body = witness.serialize() if witness else "none found\n"
-    (out / f"transversality-{seed}.transwit").write_text(
-        _header(cfg, "transversality", seed) + body
-    )
     if witness is None:
-        return "none-found", True
-    return f"t={witness.t} xi1={witness.xi1:.6g}", True
+        return "none-found", True, {".transwit": "none found\n"}
+    headline = f"t={witness.t} xi1={witness.xi1:.6g}"
+    return headline, True, {".transwit": witness.serialize()}
 
 
-def _run_rotation(cfg: RunConfig, out: Path, threads: Optional[int], seed: int):
+def _run_rotation(cfg: RunConfig, threads: Optional[int], seed: int):
     o = cfg.options
     p = cfg.params
     orbit = rotation_orbit(p.delta, o["theta0"], o["orbit_length"], p.delta_fraction)
     report = birkhoff_average(p, o["ell"], o["theta0"], o["k_max"], threads=threads)
-    lines = [_header(cfg, "rotation", seed), "k,partial_average,integral,gap\n"]
-    for k, avg, integral, gap in report.rows():
-        lines.append(f"{int(k)},{float(avg)!r},{float(integral)!r},{float(gap)!r}\n")
-    (out / f"rotation-{seed}.csv").write_text("".join(lines))
+    files = {".csv": _csv("k,partial_average,integral,gap", report.rows())}
     return (
         f"discrepancy={orbit.discrepancy:.6g} final_gap={report.gaps[-1]:.6g}"
-    ), True
+    ), True, files
 
 
-def _run_verify_suite(cfg: RunConfig, out: Path, threads: Optional[int], seed: int):
+def _run_verify_suite(cfg: RunConfig, threads: Optional[int], seed: int):
     p = cfg.params
     checks: list[tuple[str, bool, str]] = []
     rng = SplitMix64(stream_seed(seed, "verify-suite"), "draws")
@@ -401,14 +385,12 @@ def _run_verify_suite(cfg: RunConfig, out: Path, threads: Optional[int], seed: i
         ("box-slope-range", 0.5 <= dim <= 3.001, f"dim={dim:.3f}")
     )
 
-    lines = [_header(cfg, "verify-suite", seed)]
-    all_ok = True
-    for name, good, detail in checks:
-        all_ok &= good
-        lines.append(f"{'ok  ' if good else 'FAIL'} {name} {detail}\n")
-    (out / f"verify-suite-{seed}.txt").write_text("".join(lines))
+    body = "".join(
+        f"{'ok  ' if good else 'FAIL'} {name} {detail}\n" for name, good, detail in checks
+    )
+    all_ok = all(good for _, good, _ in checks)
     # +0.0 turns a negative zero from the slope fit into plain 0.000
-    return f"alpha={alpha + 0.0:.3f} dim={dim + 0.0:.3f}", all_ok
+    return f"alpha={alpha + 0.0:.3f} dim={dim + 0.0:.3f}", all_ok, {".txt": body}
 
 
 RUNNERS: dict[str, Callable] = {
@@ -474,28 +456,33 @@ def main(argv: Optional[list[str]] = None) -> int:
     for warning in cfg.warnings:
         print(f"solenoidlab: warning: {warning}", file=sys.stderr)
 
-    if cfg.experiment and cfg.experiment != args.experiment:
+    experiment = args.experiment
+    if cfg.experiment and cfg.experiment != experiment:
         print(
             f"solenoidlab: note: config names experiment {cfg.experiment!r}; "
-            f"running {args.experiment!r} from the command line",
+            f"running {experiment!r} from the command line",
             file=sys.stderr,
         )
-    cfg.experiment = args.experiment
+    cfg.experiment = experiment
     seed = args.seed if args.seed is not None else cfg.seed
     threads = _resolve_threads(args.threads, cfg)
     out = args.out if args.out is not None else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     try:
-        headline, ok = RUNNERS[args.experiment](cfg, out, threads, seed)
+        headline, ok, files = RUNNERS[experiment](cfg, threads, seed)
+        header = _header(cfg, experiment, seed)
+        for suffix, body in files.items():
+            tag, ext = suffix.rsplit(".", 1)
+            (out / f"{experiment}{tag}-{seed}.{ext}").write_text(header + body)
     except (ValueError, RuntimeError, OSError) as exc:
-        print(f"solenoidlab: {args.experiment}: {exc}", file=sys.stderr)
+        print(f"solenoidlab: {experiment}: {exc}", file=sys.stderr)
         return 1
     if not ok:
-        print(f"solenoidlab: {args.experiment}: internal contract failed", file=sys.stderr)
-        print(f"{args.experiment} FAIL {headline}")
+        print(f"solenoidlab: {experiment}: internal contract failed", file=sys.stderr)
+        print(f"{experiment} FAIL {headline}")
         return 1
-    print(f"{args.experiment} OK {headline}")
+    print(f"{experiment} OK {headline}")
     return 0
 
 

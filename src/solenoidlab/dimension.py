@@ -201,9 +201,7 @@ def fiber_dimension(
         keep = [l for l in keep if occupied[l] <= 0.1 * spec.total_words]
     if len(keep) < 2:
         raise ValueError("too few usable levels for a slope fit")
-    ent = dict(zip(prof.levels, prof.entropies))
-    slope = float(np.polyfit(keep, [ent[l] for l in keep], 1)[0])
-    return FiberDimension(prof.levels, list(prof.normalized), keep, slope)
+    return FiberDimension(prof.levels, list(prof.normalized), keep, prof.slope(keep))
 
 
 def predicted_attractor_dimension(params: SystemParams) -> float:

@@ -241,6 +241,7 @@ class PorosityReport:
     verdict: bool
     scale: int
     level_range: tuple[int, int]
+    sweep: ComponentSweep
 
 
 def porosity_check(
@@ -250,20 +251,14 @@ def porosity_check(
 
     Fraction is the component mass (uniform over levels n1 <= i < n2,
     mass-weighted within a level) whose normalized scale-m entropy falls
-    below h + delta; the verdict asks for fraction > 1 - delta.
+    below h + delta; the verdict asks for fraction > 1 - delta.  The
+    report carries the component sweep it was read from.
     """
-    return _porosity_sweep(mu, h, delta, m, n1, n2)[1]
-
-
-def _porosity_sweep(
-    mu: GridMeasure, h: float, delta: float, m: int, n1: int, n2: int
-) -> tuple[ComponentSweep, PorosityReport]:
-    """porosity_check's component sweep, and its report read from that sweep."""
     if not 0 <= n1 < n2:
         raise ValueError(f"need 0 <= n1 < n2, got ({n1}, {n2})")
     sweep = component_entropy_distribution(mu, range(n1, n2), m)
     frac = sweep.fraction_below(h + delta)
-    return sweep, PorosityReport(h + delta, frac, delta, frac > 1.0 - delta, m, (n1, n2))
+    return PorosityReport(h + delta, frac, delta, frac > 1.0 - delta, m, (n1, n2), sweep)
 
 
 @dataclass

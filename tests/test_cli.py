@@ -132,21 +132,83 @@ def test_verify_suite_b3_sampled(tmp_path, capsys):
     assert not any(line.startswith("FAIL") for line in report)
 
 
-def test_thread_count_does_not_change_artifacts(tmp_path, capsys):
-    text = FAST_SYSTEM + "mode = sampled\nsample_count = 4000\ndepth = 12\nn = 5\n"
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    a.mkdir()
-    b.mkdir()
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(text)
-    assert main(["fiber-entropy", "--config", str(cfg), "--threads", "1", "--out", str(a)]) == 0
-    assert main(["fiber-entropy", "--config", str(cfg), "--threads", "4", "--out", str(b)]) == 0
-    capsys.readouterr()
-    assert (a / "fiber-entropy-0.measure").read_bytes() == (
-        b / "fiber-entropy-0.measure"
-    ).read_bytes()
-    assert (a / "fiber-entropy-0.csv").read_bytes() == (b / "fiber-entropy-0.csv").read_bytes()
+TINY_RUNS = FAST_SYSTEM + """mode = sampled
+sample_count = 4000
+depth = 12
+cloud_count = 2000
+density_pixels = 8
+gamma_values = 0.5
+i_max = 3
+porosity_m = 3
+nx = 2
+ntheta = 3
+pairs = 2
+q = 3
+q_values = 2, 3
+pair_budget = 64
+probe_depth = 4
+levels = 4, 5
+sample_depth = 6
+z_grid = 4
+orbit_length = 1000
+ell = 3
+k_max = 4
+"""
+
+ARTIFACTS = {
+    "attractor": {"attractor-0.csv", "attractor-0.density"},
+    "dim-table": {"dim-table-0.csv"},
+    "fiber-entropy": {"fiber-entropy-0.csv", "fiber-entropy-0.measure"},
+    "porosity": {"porosity-0.csv"},
+    "projection-sweep": {"projection-sweep-0.csv"},
+    "conservation": {"conservation-0.csv", "conservation-q-0.csv"},
+    "condition-h": {"condition-h-0.txt"},
+    "separation": {"separation-0.sepcert"},
+    "transversality": {"transversality-0.transwit"},
+    "rotation": {"rotation-0.csv"},
+    "verify-suite": {"verify-suite-0.txt"},
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_thread_count_does_not_change_artifacts(tmp_path, capsys, experiment):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(TINY_RUNS)
+    cfg = parse_config(TINY_RUNS)
+    cfg.experiment = experiment
+    header = f"# solenoidlab {experiment} config_sha256={config_sha256(cfg)} seed=0"
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        argv = [experiment, "--config", str(cfg_file), "--threads", threads, "--out", str(out)]
+        assert main(argv) == 0, capsys.readouterr().err
+        written.append({f.name: f.read_bytes() for f in out.iterdir()})
+    one, two = written
+    assert set(one) == ARTIFACTS[experiment]
+    for name, body in one.items():
+        assert body.decode().splitlines()[0] == header, name
+    assert one == two
+
+
+def test_auto_mode_stays_within_the_exhaustive_budget(tmp_path, capsys):
+    # max_words above EXHAUSTIVE_WORD_BUDGET: 2^25 words would be refused, so sample
+    text = "b = 2\ndepth = 25\nmax_words = 33554432\nn = 4\nsample_count = 4096\n"
+    assert cli_module._fiber_spec(parse_config(text), 0).mode == "sampled"
+    at_budget = text.replace("depth = 25", "depth = 24")
+    assert cli_module._fiber_spec(parse_config(at_budget), 0).mode == "exhaustive"
+    assert run(tmp_path, text, ["fiber-entropy"]) == 0
+    assert capsys.readouterr().out.startswith("fiber-entropy OK ")
+
+
+def test_failing_run_writes_no_files(tmp_path, capsys, monkeypatch):
+    # the measure dump fails after the entropy table is made: neither file appears
+    def fail(mu):
+        raise RuntimeError("dump refused")
+
+    monkeypatch.setattr(cli_module, "dump_measure", fail)
+    assert run(tmp_path, FAST_SYSTEM, ["fiber-entropy"]) == 1
+    assert "dump refused" in capsys.readouterr().err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_threads_flag_cannot_be_negative(tmp_path, capsys, monkeypatch):
