@@ -242,21 +242,13 @@ def gamma_exception_scan(
         if len(cells) == 0:
             break
         if len(history) <= rounds:
-            rm = (cells[:, 0] + cells[:, 1]) / 2
-            tm = (cells[:, 2] + cells[:, 3]) / 2
+            r_lo, r_hi, t_lo, t_hi = cells.T
+            rm, tm = (r_lo + r_hi) / 2, (t_lo + t_hi) / 2
             cells = np.concatenate(
                 [
-                    np.stack(
-                        [
-                            np.where(ri, rm, cells[:, 0]),
-                            np.where(ri, cells[:, 1], rm),
-                            np.where(ti, tm, cells[:, 2]),
-                            np.where(ti, cells[:, 3], tm),
-                        ],
-                        axis=1,
-                    )
-                    for ri in (False, True)
-                    for ti in (False, True)
+                    np.stack([*r_half, *t_half], axis=1)
+                    for r_half in ((r_lo, rm), (rm, r_hi))
+                    for t_half in ((t_lo, tm), (tm, t_hi))
                 ]
             )
     return ExceptionScanReport(
@@ -342,7 +334,8 @@ def exponential_separation_test(
     j of length n - len(suffix).  A level passes when the minimum gap
     exceeds sqrt(2) * eps0^nhat.  Levels whose prefix count exceeds
     max_points are subsampled; their reported gap is only an upper bound
-    on the true minimum and the row is flagged.
+    on the true minimum and the row is flagged.  A level needs fewer
+    than 2^64 prefixes, so that each has a 64-bit index.
     """
     if not 0 < eps0 < 1:
         raise ValueError("eps0 must lie in (0, 1)")
@@ -355,10 +348,15 @@ def exponential_separation_test(
         nhat = scale_hat(params, n)
         threshold = math.sqrt(2.0) * eps0**nhat
         count = params.b ** (n - ell)
+        if count >= 1 << 64:
+            raise ValueError(
+                f"level {n}: {params.b}^{n - ell} prefixes do not fit in 64-bit word indices"
+            )
         sampled = count > max_points
         if sampled:
             stream = SplitMix64(seed, f"separation.n{n}")
-            picks = np.unique(stream.words(0, max_points) % count).astype(np.int64)
+            # uint64 picks: an index past 2^63 would wrap negative in int64
+            picks = np.unique(stream.words(0, max_points) % np.uint64(count))
         else:
             picks = np.arange(count, dtype=np.int64)
         heads = _index_digits(picks, params.b, n - ell)

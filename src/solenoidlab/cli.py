@@ -442,6 +442,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.threads is not None and args.threads < 0:
         print("solenoidlab: --threads cannot be negative", file=sys.stderr)
         return 2
+    if args.seed is not None and not 0 <= args.seed < 1 << 64:
+        print("solenoidlab: --seed must fit in 64 bits", file=sys.stderr)
+        return 2
 
     try:
         text = args.config.read_text() if args.config else ""

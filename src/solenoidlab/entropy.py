@@ -181,12 +181,6 @@ class ComponentSweep:
     levels: list[int]
     rows: list[tuple[int, tuple, float, float]]
 
-    def mean(self) -> float:
-        if not self.rows:
-            return 0.0
-        per_level = 1.0 / len(self.levels)
-        return sum(val * mass * per_level for (_, _, val, mass) in self.rows)
-
     def fraction_below(self, threshold: float) -> float:
         per_level = 1.0 / len(self.levels)
         return sum(
@@ -239,9 +233,7 @@ class PorosityReport:
     fraction_below: float
     delta: float
     verdict: bool
-    scale: int
-    level_range: tuple[int, int]
-    sweep: ComponentSweep
+    sweep: ComponentSweep  # its scale and levels are the probe's m and n1..n2-1
 
 
 def porosity_check(
@@ -258,7 +250,7 @@ def porosity_check(
         raise ValueError(f"need 0 <= n1 < n2, got ({n1}, {n2})")
     sweep = component_entropy_distribution(mu, range(n1, n2), m)
     frac = sweep.fraction_below(h + delta)
-    return PorosityReport(h + delta, frac, delta, frac > 1.0 - delta, m, (n1, n2), sweep)
+    return PorosityReport(h + delta, frac, delta, frac > 1.0 - delta, sweep)
 
 
 @dataclass

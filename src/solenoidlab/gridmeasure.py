@@ -615,7 +615,12 @@ def load_measure(text: str, base: Optional[int] = None) -> GridMeasure:
     def header_int(name: str) -> int:
         if name not in fields:
             raise ValueError(f"measure header lacks the {name} field")
-        return int(fields[name])
+        try:
+            return int(fields[name])
+        except ValueError:
+            raise ValueError(
+                f"measure header field {name}={fields[name]!r} is not an integer"
+            ) from None
 
     if header[1] == "v2":
         stored = header_int("base")
@@ -628,11 +633,14 @@ def load_measure(text: str, base: Optional[int] = None) -> GridMeasure:
     rows = []
     weights = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != dim + 1:
+        try:
+            *cell, weight = (int(p) for p in ln.split())
+        except ValueError:
+            cell = None
+        if cell is None or len(cell) != dim:
             raise ValueError(f"bad cell line: {ln!r}")
-        rows.append([int(p) for p in parts[:dim]])
-        weights.append(int(parts[dim]))
+        rows.append(cell)
+        weights.append(weight)
     idx = np.array(rows, dtype=np.int64).reshape(len(rows), dim)
     cells = _encode_rows(idx, np.array(weights, dtype=np.int64))
     mu = GridMeasure(base, dim, level, cells, _box_radius(cells.lo, cells.spans, base, level))

@@ -63,28 +63,19 @@ class TrigPoly:
     def __call__(self, x):
         """Evaluate at x (scalar or ndarray)."""
         two_pi_x = 2.0 * np.pi * np.asarray(x, dtype=np.float64)
-        # skip the k=1 scaling and unit-coefficient multiply; this is the
-        # inner loop of every branch-sum evaluation
         out = None
-        for k, a in enumerate(self.cos_coeffs, start=1):
-            if a == 0.0:
-                continue
-            term = np.cos(two_pi_x if k == 1 else k * two_pi_x)
-            if a != 1.0:
+        for trig, coeffs in ((np.cos, self.cos_coeffs), (np.sin, self.sin_coeffs)):
+            for k, a in enumerate(coeffs, start=1):
+                if a == 0.0:
+                    continue
+                term = trig(k * two_pi_x)
                 term *= a
-            out = term if out is None else out + term
-        for k, bk in enumerate(self.sin_coeffs, start=1):
-            if bk == 0.0:
-                continue
-            term = np.sin(two_pi_x if k == 1 else k * two_pi_x)
-            if bk != 1.0:
-                term *= bk
-            out = term if out is None else out + term
+                out = term if out is None else out + term
         if out is None:
             out = np.full_like(two_pi_x, self.a0)
         elif self.a0 != 0.0:
             out += self.a0
-        if np.isscalar(x) or np.ndim(x) == 0:
+        if np.ndim(x) == 0:
             return float(out)
         return out
 

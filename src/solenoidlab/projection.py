@@ -17,10 +17,11 @@ the grid module's row reduce, which picks bincount or sort from the
 sizes it sees, so there is no separate dense or sparse mode here; the
 reduced tables are folded into running sums under the tile lock.  The
 planar rate then sorts the keys in place and counts the run lengths of
-equal keys chunk by chunk.  All three rates go through the entropy
-module's one histogram entropy, so their bits do not depend on how the
-words were split into tiles or chunks, nor on the order the tiles
-finish in.  The estimator keeps no boundary tally.
+equal keys chunk by chunk; each chunk ends where the run of its last
+key ends, so no run is split between chunks.  All three rates go
+through the entropy module's one histogram entropy, so their bits do
+not depend on how the words were split into tiles or chunks, nor on
+the order the tiles finish in.  The estimator keeps no boundary tally.
 
 strip_decomposition is the same strip split on a binned planar measure,
 the reference the streamed estimator is tested against.  It floors cell
@@ -210,34 +211,26 @@ def _sorted_key_entropy(keys: np.ndarray, base: int, chunk: int = 1 << 20) -> fl
 
     The sorted keys are scanned chunk by chunk for equal neighbours.  A
     run of consecutive equal pairs is a key that occurs once more than
-    the run has pairs; the run lengths go into one integer histogram,
-    carrying the run still open at a chunk's end, so memory follows the
-    chunk and the longest run, and every chunk size gives the same
-    histogram and bits.  The keys in no run occur once.
+    the run has pairs; the run lengths go into one integer histogram.
+    Each chunk ends at the end of the run of its last key, so no run
+    spans two chunks, memory follows the chunk and the longest run, and
+    every chunk size gives the same histogram and bits.  The keys in no
+    run occur once.
     """
     n = len(keys)
     if n == 0:
         raise ValueError("empty key set")
     keys.sort()
     hist = np.zeros(2, dtype=np.int64)  # hist[c]: distinct keys that occur c times
-    open_pairs = 0  # equal pairs of the run that reaches the last chunk's end
-    for lo in range(0, n, chunk):
-        # seg holds the pairs (i, i + 1) with lo - 1 <= i < lo + chunk - 1
-        seg = keys[max(lo - 1, 0) : lo + chunk]
+    lo = 0
+    while lo < n:
+        hi = int(np.searchsorted(keys, keys[min(lo + chunk, n) - 1], side="right"))
+        seg = keys[lo:hi]
         eq = np.flatnonzero(seg[1:] == seg[:-1])
         # the number of equal pairs in each run of consecutive positions in eq
         pairs = np.diff(np.flatnonzero(np.diff(eq, prepend=-2, append=len(seg) + 1) != 1))
-        if len(eq) and eq[0] == 0:
-            pairs[0] += open_pairs
-        elif open_pairs:
-            pairs = np.append(open_pairs, pairs)
-        open_pairs = 0
-        if len(eq) and eq[-1] == len(seg) - 2:
-            open_pairs = int(pairs[-1])
-            pairs = pairs[:-1]
         hist = _add_counts(hist, pairs)
-    if open_pairs:
-        hist = _add_counts(hist, np.array([open_pairs]))
+        lo = hi
     hist[1] = n - np.arange(len(hist)) @ hist
     lengths = np.flatnonzero(hist)
     return float(_histogram_entropies(lengths[:, None], hist[lengths], base)[2][0])

@@ -54,7 +54,6 @@ from .params import SystemParams
 from .rng import GAMMA64, SplitMix64, mix64_array
 
 __all__ = [
-    "Word",
     "check_word",
     "word_value",
     "word_address",
@@ -75,9 +74,6 @@ __all__ = [
     "scale_hat",
     "scale_tilde",
 ]
-
-Word = tuple  # alias: a word is a tuple of ints in [0, b)
-
 
 def check_word(word: Sequence[int], b: int, allow_empty: bool = False) -> tuple:
     """Validate digits and return the word as a tuple."""
@@ -119,15 +115,21 @@ def branch_interval(b: int, word: Sequence[int]) -> tuple[float, float]:
 
 
 def word_to_str(word: Sequence[int]) -> str:
-    """Digit string form, e.g. (1, 0, 2) -> "102".  Digits >= 10 are dot-separated."""
+    """Digit string form, e.g. (1, 0, 2) -> "102".
+
+    A word with a digit >= 10 is dot-separated, e.g. (10, 1) -> "10.1",
+    and a one-digit one ends with a dot, (10,) -> "10.", so every form
+    reads back as its own word.
+    """
     if any(s >= 10 for s in word):
-        return ".".join(str(s) for s in word)
+        return ".".join(str(s) for s in word) + ("." if len(word) == 1 else "")
     return "".join(str(s) for s in word)
 
 
 def word_from_str(text: str) -> tuple:
+    """The word of a word_to_str form."""
     if "." in text:
-        return tuple(int(p) for p in text.split("."))
+        return tuple(int(p) for p in text.removesuffix(".").split("."))
     return tuple(int(c) for c in text)
 
 
@@ -561,10 +563,19 @@ def difference_residual(
 # === scale conversions ===
 
 
+def _least(holds, k: int) -> int:
+    """Least k >= 1 for which holds(k), a condition monotone in k, from a guess k >= 1."""
+    while k > 1 and holds(k - 1):
+        k -= 1
+    while not holds(k):
+        k += 1
+    return k
+
+
 def scale_hat(params: SystemParams, n: int) -> int:
     """Smallest contraction count k with |gamma|^k <= b^{-n}.
 
-    Exact: the log-based candidate is verified (and corrected) with
+    Exact: from the log-based candidate, the least k is found with
     rational arithmetic on the float value of |gamma|.
     """
     if n < 0:
@@ -574,30 +585,18 @@ def scale_hat(params: SystemParams, n: int) -> int:
     g = Fraction(params.gamma_abs)
     target = Fraction(1, params.b**n)
     cand = max(1, math.ceil(n * math.log(params.b) / -math.log(params.gamma_abs)))
-    for k in range(max(1, cand - 2), cand + 4):
-        if g**k <= target and g ** (k - 1) > target:
-            return k
-    # fallback scan; unreachable in practice
-    k = 1
-    while g**k > target:
-        k += 1
-    return k
+    return _least(lambda k: g**k <= target, cand)
 
 
 def scale_tilde(params: SystemParams, n: int) -> int:
-    """Grid level k with b^{-k} <= |gamma|^n < b^{-k+1}, exact as scale_hat."""
+    """Grid level k with b^{-k} <= |gamma|^n < b^{-k+1}, exact as scale_hat.
+
+    That k is the least k >= 1 with b^{-k} <= |gamma|^n, since b^0 > |gamma|^n.
+    """
     if n < 0:
         raise ValueError(f"scale index must be nonnegative, got {n}")
     if n == 0:
         return 0
     g = Fraction(params.gamma_abs) ** n
     cand = max(1, math.floor(n * -math.log(params.gamma_abs) / math.log(params.b)))
-    for k in range(max(1, cand - 2), cand + 4):
-        if Fraction(1, params.b**k) <= g and g < Fraction(1, params.b ** (k - 1)):
-            return k
-    k = 1
-    while not (Fraction(1, params.b**k) <= g < Fraction(1, params.b ** (k - 1))):
-        k += 1
-        if k > 10**6:
-            raise RuntimeError("scale search failed")
-    return k
+    return _least(lambda k: Fraction(1, params.b**k) <= g, cand)

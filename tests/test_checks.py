@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import solenoidlab.checks as checks_module
 from solenoidlab.checks import (
     _continuation_margins,
     _min_pairwise_gap,
@@ -17,7 +18,9 @@ from solenoidlab.checks import (
 )
 from solenoidlab.params import SystemParams, TrigPoly
 from solenoidlab.rng import SplitMix64
-from solenoidlab.words import enumerate_words, scale_hat, symbolic_sum
+from solenoidlab.words import (
+    enumerate_words, scale_hat, symbolic_sum, symbolic_sum_batch, word_from_index,
+)
 
 X_GRID = [(i + 0.5) / 17 for i in range(17)]
 
@@ -321,6 +324,35 @@ def test_separation_serialize(system_b2):
 def test_separation_validation(system_b2):
     with pytest.raises(ValueError, match="eps0"):
         exponential_separation_test(system_b2, 0.3, (), 1.5, [2])
+
+
+def test_separation_samples_indices_past_int63(system_b3, monkeypatch):
+    # 3^40 > 2^63: about one pick in seven lies past the int64 range, and
+    # each must decode to its own word
+    seen = []
+
+    def batch(params, x, symbols):
+        seen.append(symbols.copy())
+        return symbolic_sum_batch(params, x, symbols)
+
+    monkeypatch.setattr(checks_module, "symbolic_sum_batch", batch)
+    cert = exponential_separation_test(system_b3, 0.3177, (), 0.35, [40], max_points=1024, seed=1)
+    raw = SplitMix64(1, "separation.n40").words(0, 1024)
+    picks = sorted({int(v) % 3**40 for v in raw})
+    assert sum(p >= 2**63 for p in picks) > 100
+    words = np.array([word_from_index(p, 3, 40) for p in picks])
+    assert np.array_equal(seen[0], words)
+    want = _min_pairwise_gap(symbolic_sum_batch(system_b3, 0.3177, words))
+    row = cert.rows[0]
+    assert (row.points, row.min_gap, row.passed) == (len(picks), want, want > row.threshold)
+
+
+def test_separation_refuses_levels_past_64_bit_indices(system_b3):
+    with pytest.raises(ValueError, match="level 41"):
+        exponential_separation_test(system_b3, 0.3177, (), 0.35, [41], max_points=1024)
+    # the suffix digits are not indexed
+    cert = exponential_separation_test(system_b3, 0.3177, (0,), 0.35, [41], max_points=16)
+    assert cert.rows[0].points <= 16
 
 
 # ------------------------------------------------------------- transversality

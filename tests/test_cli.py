@@ -91,6 +91,14 @@ def test_seed_flag_overrides_config(tmp_path):
     assert not (tmp_path / "fiber-entropy-7.csv").exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_seed_flag_must_fit_in_64_bits(tmp_path, capsys, seed):
+    code = run(tmp_path, FAST_SYSTEM, ["separation", f"--seed={seed}"])
+    assert code == 2
+    assert "--seed must fit in 64 bits" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def test_experiment_mismatch_notes(tmp_path, capsys):
     code = run(tmp_path, FAST_SYSTEM + "experiment = porosity\n", ["fiber-entropy"])
     assert code == 0

@@ -1,5 +1,7 @@
 """Integer-weight grid measures: exact aggregation, serialization, convolution."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,11 +197,19 @@ def test_load_rejects_conflicting_base():
         ("GRIDMEASURE v2 base=2 dim=1 level=2 total3", "field 'total3' is not name=value"),
         ("GRIDMEASURE v2 base=2 dim=1 level=2 total=3 base=3", "repeats the base field"),
         ("GRIDMEASURE v1 dim=1 dim=2 level=2 total=3", "repeats the dim field"),
+        ("GRIDMEASURE v2 base=2 dim=x level=2 total=3", "field dim='x' is not an integer"),
+        ("GRIDMEASURE v2 base=two dim=1 level=2 total=3", "field base='two' is not an integer"),
     ],
 )
 def test_load_names_the_bad_header_field(header, message):
     with pytest.raises(ValueError, match=message):
         load_measure(header + "\n1 1\n3 2\n", 2)
+
+
+@pytest.mark.parametrize("line", ["0 1.0", "0 1 1", "x 1"])
+def test_load_names_the_bad_cell_line(line):
+    with pytest.raises(ValueError, match=re.escape(f"bad cell line: {line!r}")):
+        load_measure(f"GRIDMEASURE v2 base=2 dim=1 level=2 total=1\n{line}\n")
 
 
 def test_load_reads_v1_with_callers_base():

@@ -1,8 +1,10 @@
 """Package layout: submodule names and the public export lists."""
 
 import importlib
+import importlib.util
 import pkgutil
 import types
+from pathlib import Path
 
 import solenoidlab
 
@@ -27,3 +29,22 @@ def test_every_export_resolves():
     ]
     assert len(modules) > 10
     assert stale == []
+
+
+def test_perfbench_traced_names_resolve():
+    # the tracer rebinds each (module, attribute) of TRACED and fails on a
+    # missing one; Class.method is looked up in the class's own dict
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for mod_name, attr, *_ in tracing.TRACED:
+        owner = vars(importlib.import_module(f"solenoidlab.{mod_name}"))
+        *cls, name = attr.split(".")
+        if cls:
+            owner = vars(owner[cls[0]]) if cls[0] in owner else {}
+        if name not in owner:
+            missing.append(f"{mod_name}.{attr}")
+    assert len(tracing.TRACED) > 10
+    assert missing == []

@@ -75,6 +75,10 @@ def test_word_str_round_trip():
     assert word_from_str("012") == (0, 1, 2)
     for w in enumerate_words(3, 3):
         assert word_from_str(word_to_str(w)) == w
+    # digits past 9 are dot-separated; a one-digit word ends with its dot
+    assert [word_to_str(w) for w in ((10,), (1, 0), (10, 1))] == ["10.", "10", "10.1"]
+    words = [w for m in (1, 2, 3) for w in enumerate_words(12, m)]
+    assert [word_from_str(word_to_str(w)) for w in words] == words
 
 
 def test_word_from_index_is_lexicographic():
